@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 solver failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import experiments
@@ -157,6 +158,7 @@ def _cmd_experiment(args) -> int:
         density = g.edge_count / g.node_count**2
         print(f"# graph: {g.node_count} nodes, {g.edge_count} edges, "
               f"density {density:.3g}", file=sys.stderr)
+        cfg = dataclasses.replace(cfg, graph=g)
     rows = experiments.run_experiment(cfg)
     text = experiments.rows_to_csv(rows)
     if cfg.out:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -65,7 +65,9 @@ class ExperimentConfig:
 
     Grids not used by an experiment are ignored (e.g. ``lam`` outside the
     random-tree study). ``edge_p``, when set, fixes the edge probability
-    directly instead of the ``a * log(n) / n`` rule.
+    directly instead of the ``a * log(n) / n`` rule. ``graph``, when set, is
+    the graph already loaded from ``graph_path``; the facebook runner uses it
+    instead of reading the file again.
     """
 
     experiment: str
@@ -79,6 +81,7 @@ class ExperimentConfig:
     edge_p: float | None = None
     graph_path: str | None = None
     out: str | None = None
+    graph: Graph | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -241,11 +244,12 @@ def run_random_trees(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def _single_target_instance(cfg: ExperimentConfig, n: int, p: float,
-                            ai, trial: int) -> Instance:
+def _single_target_instance(cfg: ExperimentConfig, n: int, p: float, ai,
+                            trial: int) -> tuple[Instance, StrategyOutcome, float]:
     """Connected ER instance for single-target studies; resamples the rare
     configurations whose optimum is exactly zero (the relative success
-    criterion is undefined there)."""
+    criterion is undefined there). Returns the instance with its exact
+    outcome and the milliseconds the exact search took."""
     for attempt in range(_MAX_RESAMPLE):
         g = sample_connected_er(n, p, cfg.seed, cfg.experiment, n, ai, trial, attempt)
         minus = _pick_nodes(
@@ -253,8 +257,9 @@ def _single_target_instance(cfg: ExperimentConfig, n: int, p: float,
             derive_seed(cfg.seed, cfg.experiment + "-minus", n, ai, trial, attempt),
         )
         inst = Instance(g, minus, frozenset(), 1)
-        if abs(brute_force(inst).objective) > EXACTNESS_TOL:
-            return inst
+        exact, ms = _timed(brute_force, inst)
+        if abs(exact.objective) > EXACTNESS_TOL:
+            return inst, exact, ms
     raise RuntimeError("could not sample an instance with a nonzero optimum")
 
 
@@ -265,8 +270,7 @@ def run_er_treelike(cfg: ExperimentConfig) -> list[ResultRow]:
         for ai, a in enumerate(cfg.a):
             p = a * math.log(n) / n
             for trial in range(cfg.trials):
-                inst = _single_target_instance(cfg, n, p, ai, trial)
-                exact, ms_b = _timed(brute_force, inst)
+                inst, exact, ms_b = _single_target_instance(cfg, n, p, ai, trial)
                 walk, ms_w = _timed(hill_climb, inst)
                 rows.append(ResultRow(
                     cfg.experiment, n, a, None, 1, cfg.minus_count, trial, "climb",
@@ -284,9 +288,12 @@ def run_er_treelike(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def run_facebook(cfg: ExperimentConfig) -> list[ResultRow]:
     """Hill climb vs exhaustive single-target search on a loaded edge list."""
-    if not cfg.graph_path:
+    if cfg.graph is not None:
+        g = cfg.graph
+    elif cfg.graph_path:
+        g = load_edge_list(cfg.graph_path)
+    else:
         raise ValueError("facebook experiment needs graph_path")
-    g = load_edge_list(cfg.graph_path)
     n = g.node_count
     rows = []
     for trial in range(cfg.trials):

@@ -54,6 +54,13 @@ def brute_force(
 
     Ties resolve to the lexicographically smallest sorted tuple. Raises if the
     number of configurations exceeds ``max_configurations``.
+
+    With budget 1 and at least one strategic attachment, every singleton is
+    scored in one gain sweep, ``F({v}) = F(empty) + gains(())[v]``: the same
+    rank-one update the combination loop applies one set at a time. The
+    empty set and then the singletons are scanned in ascending order, and the
+    counters are those of the loop: ``len(pool) + 1`` evaluations (the empty
+    set included) and ``len(pool)`` visited nodes.
     """
     pool = inst.candidates
     k = inst.budget
@@ -63,8 +70,14 @@ def brute_force(
             f"{total} configurations exceed the cap of {max_configurations}"
         )
     solver = inst.solver
+    anchored = bool(inst.minus_set or inst.plus_base)
+    if k == 1 and anchored:
+        f0 = solver.objective(())
+        gains = solver.gains(())
+        scored = [((), f0)] + [((v,), f0 + gains[v]) for v in pool]
+        return _finish(inst, _best_candidate(scored)[0], len(scored), len(pool))
     sizes = range(k + 1)
-    if not (inst.minus_set or inst.plus_base):
+    if not anchored:
         sizes = range(1, k + 1)  # the empty set has no equilibrium
     best_f = -math.inf
     best: tuple[int, ...] | None = None

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import optarget.cli as cli
+import optarget.experiments as experiments
 from optarget import (
     derive_seed,
     default_config,
@@ -94,12 +95,17 @@ class TestRunners:
         assert all(r.success for r in descent)
         assert all(r.visited_fraction <= 1.0 for r in rows)
 
-    def test_er_treelike_rows(self):
+    def test_er_treelike_rows(self, monkeypatch):
+        calls = []
+        exact = experiments.brute_force
+        monkeypatch.setattr(experiments, "brute_force",
+                            lambda inst: calls.append(inst) or exact(inst))
         cfg = default_config("er-treelike", n=(40,), a=(3.0,), trials=2, seed=11)
         rows = run_experiment(cfg)
         climb = [r for r in rows if r.algorithm == "climb"]
         assert len(climb) == 2
         assert all(r.success is not None for r in climb)
+        assert len(calls) == 2  # the sampler's exact search is reused
 
     def test_treelike_otp_rows(self):
         cfg = default_config("treelike-otp", n=(40,), trials=2, k_plus=2,
@@ -217,9 +223,14 @@ class TestCli:
         assert self.run("solve", "--graph", str(path), "--minus", "0",
                         "--algorithm", "greedy") == 2
 
-    def test_facebook_experiment_reports_density_header(self, tmp_path, capsys):
+    def test_facebook_experiment_reports_density_header(self, tmp_path, capsys,
+                                                        monkeypatch):
         from optarget.experiments import sample_connected_er
 
+        loads = []
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "load_edge_list",
+                                lambda path: loads.append(path) or load_edge_list(path))
         path = tmp_path / "edges.txt"
         write_edge_list(sample_connected_er(25, 0.2, 1, "density"), path)
         out = tmp_path / "rows.csv"
@@ -227,6 +238,7 @@ class TestCli:
                         "--graph", str(path), "--trials", "1",
                         "--seed", "1", "--out", str(out)) == 0
         assert "density" in capsys.readouterr().err
+        assert loads == [str(path)]
 
     def test_console_entry_point(self, tmp_path):
         path = tmp_path / "line.txt"

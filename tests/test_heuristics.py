@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +23,8 @@ from optarget import (
     success,
     tree_descent,
 )
+from optarget.engine import _COL_CACHE_SIZE, DENSE_CUTOFF, OpinionSolver
+from optarget.heuristics import SCORE_TIE_TOL
 from conftest import random_connected_graph, random_tree, star_graph
 
 
@@ -67,6 +70,17 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="cap"):
             brute_force(inst, max_configurations=1000)
 
+    def test_sparse_column_cache_stays_bounded(self, rng):
+        # Budget 2 on 100 nodes touches every column; the sparse backend
+        # keeps at most _COL_CACHE_SIZE of them and still finds the optimum.
+        g = random_connected_graph(100, 0.04, rng)
+        inst = on_backend(Instance(g, frozenset({3, 50}), budget=2), "sparse")
+        out = brute_force(inst)
+        assert len(inst.solver._col_cache) <= _COL_CACHE_SIZE < g.node_count
+        expected = brute_force(Instance(g, frozenset({3, 50}), budget=2))
+        assert out.chosen_set == expected.chosen_set
+        assert out.objective == pytest.approx(expected.objective, abs=1e-12)
+
     def test_tie_prefers_lexicographically_smallest(self):
         # On a complete graph with one opposing link every fresh node is
         # equivalent, so the reported optimum must be the first one.
@@ -75,6 +89,77 @@ class TestBruteForce:
         assert out.chosen_set == {0, 5} or out.chosen_set == {0, 1}
         # blocking node 5 plus one fresh node beats two fresh nodes
         assert out.chosen_set == {0, 5}
+
+
+def on_backend(inst, backend):
+    """``inst`` with its solver pinned to the dense or the sparse backend."""
+    inst.__dict__["solver"] = OpinionSolver(
+        inst.graph, sorted(inst.minus_set), sorted(inst.plus_base),
+        dense_cutoff={"dense": DENSE_CUTOFF, "sparse": 10}[backend])
+    return inst
+
+
+def combination_loop(inst):
+    """brute_force's combination loop, one objective call per target set:
+    the reference for its budget-1 gain sweep. Returns (best, evaluations)."""
+    sizes = range(inst.budget + 1)
+    if not (inst.minus_set or inst.plus_base):
+        sizes = range(1, inst.budget + 1)
+    best, best_f, evaluations = None, -math.inf, 0
+    for size in sizes:
+        for combo in combinations(inst.candidates, size):
+            f = inst.solver.objective(combo)
+            evaluations += 1
+            if best is None or f > best_f + SCORE_TIE_TOL:
+                best, best_f = combo, f
+            elif f >= best_f - SCORE_TIE_TOL and combo < best:
+                best = combo
+    return best, evaluations
+
+
+def cycle_instance(n=9, minus=4):
+    return Instance(Graph(n, [(i, (i + 1) % n) for i in range(n)]),
+                    frozenset({minus}), budget=1)
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+class TestBruteForceSingleTargetSweep:
+    def assert_matches_loop(self, inst):
+        best, evaluations = combination_loop(inst)
+        out = brute_force(inst)
+        assert out.chosen_set == frozenset(best)
+        assert out.objective == solve_equilibrium(inst, best).objective
+        assert out.equilibrium_evaluations == evaluations == len(inst.candidates) + 1
+        assert out.visited_nodes == len(inst.candidates)
+        return out
+
+    def test_random_instances(self, rng, backend):
+        for _ in range(25):
+            inst = random_instance(rng, max_n=30, max_budget=1, with_plus=True)
+            self.assert_matches_loop(on_backend(inst, backend))
+
+    def test_exact_tie_resolves_to_smallest_index(self, backend):
+        # On a cycle the reflection swapping the minus node and a target v
+        # negates every opinion, so all singletons score exactly 0.
+        out = self.assert_matches_loop(on_backend(cycle_instance(), backend))
+        assert out.chosen_set == {0}
+
+    def test_plus_base_only_keeps_the_empty_set(self, backend):
+        # Every opinion is already +1: no singleton gains anything.
+        inst = Instance(generate_line(6), frozenset(), frozenset({2}), budget=1)
+        out = self.assert_matches_loop(on_backend(inst, backend))
+        assert out.chosen_set == frozenset()
+        assert out.objective == pytest.approx(1.0, abs=1e-12)
+
+
+def test_single_target_sweep_backends_agree(rng):
+    for _ in range(10):
+        inst = random_instance(rng, max_n=30, max_budget=1, with_plus=True)
+        twin = Instance(inst.graph, inst.minus_set, inst.plus_base, budget=1)
+        sparse = brute_force(on_backend(inst, "sparse"))
+        dense = brute_force(on_backend(twin, "dense"))
+        assert sparse.chosen_set == dense.chosen_set
+        assert sparse.objective == pytest.approx(dense.objective, abs=1e-12)
 
 
 class TestDegreeHeuristic:
