@@ -20,7 +20,12 @@ symmetric mode (minimum-degree ordering on ``M + M^T``, diagonal pivots), with
 inverse columns solved on demand and kept in a cache of at most
 ``_COL_CACHE_SIZE`` columns. A gain sweep needs the whole diagonal of
 ``M^-1``; the sparse backend solves for it in batches of ``_DIAG_CHUNK``
-columns. Every sparse solve takes one step of iterative refinement.
+columns. Sparse solves for single columns and base vectors take one step of
+iterative refinement; the diagonal pass refines only the entries it keeps,
+each by the second-order correction ``x_j + x_j^T (e_j - M x_j)``.
+
+With no attachment at all the base is singular, but every nonempty target
+set has the closed-form consensus x = 1, which the solver returns directly.
 """
 
 from __future__ import annotations
@@ -86,9 +91,8 @@ class OpinionSolver:
         self._col_cache: dict[int, np.ndarray] = {}
         self._gains_cache: tuple[tuple[int, ...], np.ndarray] | None = None
         if not self.anchored:
-            # Singular base; only per-call direct solves are possible.
-            self._inv = None
-            self._lu = None
+            # Singular base, but no solve is needed: any plus target drives
+            # every opinion to +1, as x = 1 solves (L + e_v e_v^T) x = e_v.
             return
         if self.dense:
             m0 = np.diag(self.base_diag) - self._adj.toarray()
@@ -118,7 +122,7 @@ class OpinionSolver:
         return x + self._lu.solve(rhs - self._apply_base(x))
 
     def _check_base_residual(self) -> None:
-        tol = RESIDUAL_RTOL * max(1.0, float(self.base_diag.max()))
+        tol = self.residual_tolerance(())
         res = np.abs(self._apply_base(self._x0) - self.rhs0).max()
         if not res <= tol:
             raise SolverConvergenceError(
@@ -155,15 +159,25 @@ class OpinionSolver:
     def _ensure_diag(self, nodes: np.ndarray) -> None:
         if self.dense:
             return
+        # Each entry gets the scalar form of one refinement step: since M is
+        # symmetric, e_j^T M^-1 r_j = x_j^T r_j for the column x_j and its
+        # residual r_j, which is second-order accurate like the full step at
+        # the cost of one sparse product instead of a second n-column solve.
+        tol = self.residual_tolerance(())
         missing = nodes[np.isnan(self._g0[nodes])]
         for start in range(0, missing.size, _DIAG_CHUNK):
             chunk = missing[start:start + _DIAG_CHUNK]
+            at = (chunk, np.arange(chunk.size))
             eye = np.zeros((self.n, chunk.size))
-            eye[chunk, np.arange(chunk.size)] = 1.0
+            eye[at] = 1.0
             cols = self._lu.solve(eye)
-            cols += self._lu.solve(eye - (self.base_diag[:, None] * cols
-                                          - self._adj @ cols))
-            self._g0[chunk] = cols[chunk, np.arange(chunk.size)]
+            res = eye - (self.base_diag[:, None] * cols - self._adj @ cols)
+            worst = np.abs(res).max()
+            if not worst <= tol:
+                raise SolverConvergenceError(
+                    f"diagonal solve residual {worst:.3e} exceeds tolerance {tol:.3e}"
+                )
+            self._g0[chunk] = cols[at] + np.einsum("ij,ij->j", cols, res)
 
     # -- evaluation -----------------------------------------------------
 
@@ -179,7 +193,7 @@ class OpinionSolver:
         if idx.size == 0:
             return self.base_objective
         if not self.anchored:
-            return float(self._direct_profile(idx).sum() / self.n)
+            return 1.0
         z, c = self._correction(idx)
         alpha = np.linalg.solve(c, 1.0 - self._x0[idx])
         return float(self.base_objective + self._w0[idx] @ alpha / self.n)
@@ -190,7 +204,7 @@ class OpinionSolver:
         if not self.anchored:
             if idx.size == 0:
                 raise ValueError("no strategic attachment: profile undefined")
-            return self._direct_profile(idx)
+            return np.ones(self.n)
         if idx.size == 0:
             return self._x0.copy()
         z, c = self._correction(idx)
@@ -208,7 +222,9 @@ class OpinionSolver:
         if self._gains_cache is not None and self._gains_cache[0] == key:
             return self._gains_cache[1]
         if not self.anchored:
-            gains = self._gains_unanchored(key)
+            # F(empty) is undefined, so the first sweep scores F({v}) = 1
+            # itself; once a target is committed nothing more can be gained.
+            gains = np.full(self.n, 0.0 if key else 1.0)
         else:
             gains = self._gains_anchored(np.asarray(key, dtype=np.int64))
         self._gains_cache = (key, gains)
@@ -224,29 +240,6 @@ class OpinionSolver:
             w = self._w0 - z @ np.linalg.solve(c, self._w0[idx])
             g = self._g0 - np.einsum("ij,ji->i", z, np.linalg.solve(c, z.T))
         return w * (1.0 - x) / (self.n * (1.0 + g))
-
-    def _gains_unanchored(self, committed: tuple[int, ...]) -> np.ndarray:
-        base = self.objective(committed) if committed else None
-        gains = np.empty(self.n)
-        for v in range(self.n):
-            if v in committed:
-                gains[v] = np.nan
-                continue
-            val = self.objective(committed + (v,))
-            gains[v] = val - base if base is not None else val
-        return gains
-
-    def _direct_profile(self, idx: np.ndarray) -> np.ndarray:
-        diag = self.base_diag.copy()
-        rhs = self.rhs0.copy()
-        diag[idx] += 1.0
-        rhs[idx] += 1.0
-        if self.dense:
-            m = np.diag(diag) - self._adj.toarray()
-            return np.linalg.solve(m, rhs)
-        lu = _splu_spd(sp.diags(diag) - self._adj)
-        x = lu.solve(rhs)
-        return x + lu.solve(rhs - (diag * x - self._adj @ x))
 
     def residual_norm(self, extra: Sequence[int], x: np.ndarray) -> float:
         """Infinity norm of ``M_A x - s_A`` for the system with extra targets."""
