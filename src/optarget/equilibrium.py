@@ -138,18 +138,27 @@ def marginal_gain(inst: Instance, targets: Iterable[int], v: int) -> float:
     return objective(inst, base | {v}) - objective(inst, base)
 
 
-def _augmented_laplacian(inst: Instance, targets: frozenset[int]):
-    """Laplacian of the graph augmented with the two source nodes.
+def _augmented_laplacian(inst: Instance, targets: frozenset[int]) -> sp.csc_matrix:
+    """Laplacian of the graph augmented with the plus source (node n) and the
+    minus source (node n + 1).
 
-    Built edge by edge, independently of the evaluation engine, so it serves
-    as a genuine cross-check of the solver output.
+    Assembled as COO from the edge arrays, independently of the evaluation
+    engine, so it serves as a genuine cross-check of the solver output.
     """
     n = inst.graph.node_count
-    plus_node, minus_node = n, n + 1
-    edges = list(inst.graph.edges)
-    edges += [(v, plus_node) for v in sorted(inst.plus_base | targets)]
-    edges += [(v, minus_node) for v in sorted(inst.minus_set)]
-    return n, plus_node, minus_node, edges
+    graph_edges = sp.triu(inst.graph.adjacency_csr(), k=1).tocoo()
+    plus = sorted(inst.plus_base | targets)
+    minus = sorted(inst.minus_set)
+    u = np.concatenate((graph_edges.row, plus, minus)).astype(np.int64)
+    v = np.concatenate(
+        (graph_edges.col, [n] * len(plus), [n + 1] * len(minus))).astype(np.int64)
+    ones = np.ones(len(u))
+    lap = sp.coo_matrix(
+        (np.concatenate((ones, ones, -ones, -ones)),
+         (np.concatenate((u, v, u, v)), np.concatenate((u, v, v, u)))),
+        shape=(n + 2, n + 2),
+    )
+    return lap.tocsc()
 
 
 def verify_electrical(
@@ -165,29 +174,12 @@ def verify_electrical(
     the fixed-potential problem (zero net current at every regular node); the
     check passes iff they match the profile entrywise within ``atol``.
     """
-    targets = inst.check_extra(extra)
-    n, plus_node, minus_node, edges = _augmented_laplacian(inst, targets)
-    total = n + 2
-    source_v = {plus_node: 1.0, minus_node: -1.0}
-    if total <= 2500:
-        lap = np.zeros((total, total))
-        for u, v in edges:
-            lap[u, u] += 1.0
-            lap[v, v] += 1.0
-            lap[u, v] -= 1.0
-            lap[v, u] -= 1.0
-        rhs = -(lap[:n, plus_node] * source_v[plus_node]
-                + lap[:n, minus_node] * source_v[minus_node])
-        voltages = np.linalg.solve(lap[:n, :n], rhs)
+    lap = _augmented_laplacian(inst, inst.check_extra(extra))
+    n = inst.graph.node_count
+    # The sources' fixed potentials (+1, -1) move to the right-hand side.
+    rhs = -(lap[:n, n:] @ np.array([1.0, -1.0]))
+    if n + 2 <= 2500:
+        voltages = np.linalg.solve(lap[:n, :n].toarray(), rhs)
     else:
-        lap = sp.lil_matrix((total, total))
-        for u, v in edges:
-            lap[u, u] += 1.0
-            lap[v, v] += 1.0
-            lap[u, v] -= 1.0
-            lap[v, u] -= 1.0
-        lap = lap.tocsc()
-        rhs = -(lap[:n, plus_node].toarray().ravel() * source_v[plus_node]
-                + lap[:n, minus_node].toarray().ravel() * source_v[minus_node])
         voltages = spla.spsolve(lap[:n, :n], rhs)
     return bool(np.abs(voltages - profile.opinions).max() <= atol)

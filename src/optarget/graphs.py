@@ -30,74 +30,101 @@ class EdgeListError(ValueError):
 class Graph:
     """Immutable undirected graph on nodes ``0 .. node_count-1``.
 
+    The stored form is the symmetric 0/1 adjacency matrix in CSR form with
+    sorted column indices; ``edges`` and ``adjacency`` are derived from it.
+
     Attributes:
         node_count: Number of nodes N.
-        edges: Sorted tuple of unordered edges, each stored as ``(i, j)``
-            with ``i < j``.
-        adjacency: Per-node neighbor tuples, sorted ascending.
+        edges: Sorted tuple of unordered edges, each given as ``(i, j)``
+            with ``i < j``, read off the upper triangle of the CSR.
+        adjacency: Per-node neighbor tuples, sorted ascending; built from
+            the CSR on first use and cached.
     """
 
-    __slots__ = ("node_count", "edges", "adjacency", "_csr")
+    __slots__ = ("node_count", "_csr", "_adjacency")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]]):
         if node_count < 1:
             raise ValueError("node_count must be >= 1")
-        normalized = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u}, {v}) outside [0, {node_count})")
-            normalized.add((u, v) if u < v else (v, u))
+        n = node_count
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                           dtype=np.int64)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError("edges must be (u, v) pairs")
+        u, v = pairs.reshape(-1, 2).T
+        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+        if bad.any():
+            i = int(bad.argmax())
+            a, b = int(u[i]), int(v[i])
+            if a == b:
+                raise ValueError(f"self-loop on node {a}")
+            raise ValueError(f"edge ({a}, {b}) outside [0, {n})")
+        # Both directions of every edge as row * n + col keys, sorted and
+        # deduplicated (a plain sort beats np.unique's hashing here).
+        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        csr = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
         object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
-        neighbors: list[list[int]] = [[] for _ in range(node_count)]
-        for u, v in self.edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        object.__setattr__(
-            self, "adjacency", tuple(tuple(sorted(ns)) for ns in neighbors)
-        )
-        object.__setattr__(self, "_csr", None)
+        object.__setattr__(self, "_csr", csr)
+        object.__setattr__(self, "_adjacency", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self._csr.nnz // 2
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        csr = self._csr
+        rows = np.repeat(np.arange(self.node_count), np.diff(csr.indptr))
+        upper = rows < csr.indices
+        return tuple(zip(rows[upper].tolist(), csr.indices[upper].tolist()))
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        if self._adjacency is None:
+            indptr, indices = self._csr.indptr.tolist(), self._csr.indices.tolist()
+            object.__setattr__(self, "_adjacency", tuple(
+                tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:])))
+        return self._adjacency
 
     def adjacency_csr(self) -> sp.csr_matrix:
-        """0/1 adjacency matrix in CSR form (cached)."""
-        if self._csr is None:
-            n = self.node_count
-            if self.edges:
-                rows = np.fromiter(
-                    (u for e in self.edges for u in e), dtype=np.int64
-                )
-                cols = np.fromiter(
-                    (u for e in self.edges for u in reversed(e)), dtype=np.int64
-                )
-                data = np.ones(len(rows), dtype=np.float64)
-                mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-            else:
-                mat = sp.csr_matrix((n, n), dtype=np.float64)
-            object.__setattr__(self, "_csr", mat)
+        """0/1 adjacency matrix in CSR form (the stored representation)."""
         return self._csr
 
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
             and self.node_count == other.node_count
-            and self.edges == other.edges
+            and np.array_equal(self._csr.indptr, other._csr.indptr)
+            and np.array_equal(self._csr.indices, other._csr.indices)
         )
 
     def __hash__(self):
-        return hash((self.node_count, self.edges))
+        return hash((self.node_count, self._csr.indices.tobytes()))
 
     def __repr__(self):
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
+
+
+def _bfs(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the nodes reachable from ``root``, and the
+    per-node BFS parent (the root maps to itself, unreached nodes to -1).
+    Neighbors are scanned in ascending order."""
+    csr = g.adjacency_csr()
+    indptr, indices = csr.indptr.tolist(), csr.indices.tolist()
+    parent = [-1] * g.node_count
+    parent[root] = root
+    order = [root]
+    for u in order:  # the list grows while it is scanned: a FIFO queue
+        for v in indices[indptr[u]:indptr[u + 1]]:
+            if parent[v] == -1:
+                parent[v] = u
+                order.append(v)
+    return order, parent
 
 
 class TreeView:
@@ -123,23 +150,14 @@ class TreeView:
             raise NotATreeError(
                 f"graph has {graph.edge_count} edges, a tree on {n} nodes has {n - 1}"
             )
-        parent = [-1] * n
-        depth = [0] * n
-        order = [root]
-        parent[root] = root
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in graph.adjacency[u]:
-                if parent[v] == -1:
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    order.append(v)
-                    queue.append(v)
+        order, parent = _bfs(graph, root)
         if len(order) != n:
             raise NotATreeError("graph is disconnected")
+        depth = [0] * n
+        # BFS discovers each node's children in ascending order.
         children: list[list[int]] = [[] for _ in range(n)]
         for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
             children[parent[v]].append(v)
         size = [1] * n
         for v in reversed(order[1:]):
@@ -148,9 +166,7 @@ class TreeView:
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "depth", tuple(depth))
-        object.__setattr__(
-            self, "children", tuple(tuple(sorted(cs)) for cs in children)
-        )
+        object.__setattr__(self, "children", tuple(tuple(cs) for cs in children))
         object.__setattr__(self, "subtree_size", tuple(size))
 
     def __setattr__(self, name, value):
@@ -169,14 +185,14 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
-    return Graph(n, zip(iu[mask].tolist(), ju[mask].tolist()))
+    return Graph(n, np.column_stack((iu[mask], ju[mask])))
 
 
 def generate_complete(n: int) -> Graph:
     """Complete graph on n nodes."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def generate_line(n: int) -> Graph:
@@ -276,24 +292,12 @@ def write_edge_list(g: Graph, path) -> None:
 
 def is_connected(g: Graph) -> bool:
     """True iff a breadth-first search from node 0 reaches every node."""
-    seen = bytearray(g.node_count)
-    seen[0] = 1
-    queue = deque([0])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                reached += 1
-                queue.append(v)
-    return reached == g.node_count
+    return len(_bfs(g, 0)[0]) == g.node_count
 
 
 def degrees(g: Graph) -> np.ndarray:
     """Per-node degree within the regular graph (strategic links excluded)."""
-    return np.fromiter((len(ns) for ns in g.adjacency), dtype=np.int64,
-                       count=g.node_count)
+    return np.diff(g.adjacency_csr().indptr).astype(np.int64)
 
 
 def tree_view(g: Graph, root: int) -> TreeView:

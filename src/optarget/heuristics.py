@@ -198,6 +198,37 @@ def tree_descent(inst: Instance, v_minus: int | None = None) -> StrategyOutcome:
     return _finish(inst, [current], evaluations, visited)
 
 
+def _climb(inst: Instance, gains, root: int, taken) -> tuple[int, dict, int, int]:
+    """Walk from ``root`` to the best improving neighbor until none improves.
+
+    Nodes in ``taken`` are never scored; a taken root starts the walk from a
+    zero marginal gain (placing no link). Each node is scored at most once,
+    and re-encountered neighbors reuse their score. Returns the end node, the
+    score of every node scored, and the evaluation and visited counts.
+    """
+    adjacency = inst.graph.adjacency
+    scores: dict[int, float] = {}
+    evaluations = visited = 0
+    current, current_f = root, 0.0
+    if root not in taken:
+        scores[root] = current_f = gains[root]
+        evaluations = 1
+    while True:
+        fresh = [v for v in adjacency[current] if v not in scores and v not in taken]
+        for v in fresh:
+            scores[v] = gains[v]
+        visited += len(fresh)
+        evaluations += len(fresh)
+        improving = [
+            (v, scores[v])
+            for v in adjacency[current]
+            if v in scores and scores[v] > current_f + SCORE_TIE_TOL
+        ]
+        if not improving:
+            return current, scores, evaluations, visited
+        current, current_f = _best_candidate(improving)
+
+
 def hill_climb(inst: Instance, root: int | None = None) -> StrategyOutcome:
     """Single-target search on any graph by moving to the best improving
     neighbor until none improves.
@@ -218,34 +249,9 @@ def hill_climb(inst: Instance, root: int | None = None) -> StrategyOutcome:
     root = int(root)
     if not (0 <= root < inst.graph.node_count):
         raise ValueError(f"root {root} out of range")
-    gains = inst.solver.gains(())
-    blocked = inst.plus_base
-    scores: dict[int, float] = {}
-    evaluations = 0
-    if root not in blocked:
-        scores[root] = gains[root]
-        evaluations += 1
-        current_f = scores[root]
-    else:
-        current_f = 0.0  # placing no link yet: zero marginal gain as reference
-    current = root
-    visited = 0
-    while True:
-        fresh = [v for v in inst.graph.adjacency[current]
-                 if v not in scores and v not in blocked]
-        for v in fresh:
-            scores[v] = gains[v]
-        visited += len(fresh)
-        evaluations += len(fresh)
-        improving = [
-            (v, scores[v])
-            for v in inst.graph.adjacency[current]
-            if v in scores and scores[v] > current_f + SCORE_TIE_TOL
-        ]
-        if not improving:
-            break
-        current, current_f = _best_candidate(improving)
-    if current in blocked:
+    current, scores, evaluations, visited = _climb(
+        inst, inst.solver.gains(()), root, inst.plus_base)
+    if current in inst.plus_base:
         # Never moved off a pre-targeted start; fall back to the best
         # candidate seen, if any.
         if not scores:
@@ -268,41 +274,17 @@ def hill_climb_multi(inst: Instance) -> StrategyOutcome:
         raise ValueError("no minus attachment to start from")
     deg = degrees(inst.graph)
     roots = sorted(inst.minus_set, key=lambda v: (deg[v], v))
-    solver = inst.solver
     committed: list[int] = []
     evaluations = 0
     visited = 0
     for step in range(inst.budget):
-        root = roots[step % len(roots)]
-        taken = set(committed) | inst.plus_base
-        gains = solver.gains(tuple(committed))
-        scores: dict[int, float] = {}
-        if root not in taken:
-            scores[root] = gains[root]
-            evaluations += 1
-            current_f = scores[root]
-        else:
-            current_f = 0.0  # committing nothing has zero marginal gain
-        current = root
-        while True:
-            fresh = [v for v in inst.graph.adjacency[current]
-                     if v not in scores and v not in taken]
-            for v in fresh:
-                scores[v] = gains[v]
-            visited += len(fresh)
-            evaluations += len(fresh)
-            improving = [
-                (v, scores[v])
-                for v in inst.graph.adjacency[current]
-                if v in scores and scores[v] > current_f + SCORE_TIE_TOL
-            ]
-            if not improving:
-                break
-            current, current_f = _best_candidate(improving)
-        if not scores:
-            continue  # nothing explorable this step
-        pick = _best_candidate(sorted(scores.items()))
-        committed.append(pick[0])
+        _, scores, step_evaluations, step_visited = _climb(
+            inst, inst.solver.gains(tuple(committed)), roots[step % len(roots)],
+            set(committed) | inst.plus_base)
+        evaluations += step_evaluations
+        visited += step_visited
+        if scores:  # otherwise nothing was explorable this step
+            committed.append(_best_candidate(sorted(scores.items()))[0])
     return _finish(inst, committed, evaluations, visited)
 
 

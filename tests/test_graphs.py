@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,3 +284,106 @@ class TestOffspring:
     def test_star_center(self):
         t = tree_view(star_graph(4), root=0)
         assert offspring(t, 0) == [1, 2, 3, 4]
+
+
+def _raw_edges(n, m, rng):
+    """m random non-loop pairs on n nodes, duplicates and reversals included."""
+    u = rng.integers(0, n, size=m)
+    v = (u + rng.integers(1, n, size=m)) % n
+    return list(zip(u.tolist(), v.tolist()))
+
+
+def _nx_graph(n, edges):
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    return h
+
+
+# (n, m): sparse draws are usually disconnected, dense ones connected.
+GRAPH_CASES = [(n, m, seed) for seed in range(4)
+               for n, m in ((2, 1), (7, 4), (30, 20), (30, 90), (120, 150), (120, 600))]
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("n,m,seed", GRAPH_CASES)
+    def test_graph_views_match_networkx(self, n, m, seed):
+        raw = _raw_edges(n, m, np.random.default_rng(seed))
+        g, h = Graph(n, raw), _nx_graph(n, raw)
+        assert g.edges == tuple(sorted(tuple(sorted(e)) for e in h.edges()))
+        assert g.edge_count == h.number_of_edges()
+        assert g.adjacency == tuple(tuple(sorted(h.neighbors(v))) for v in range(n))
+        deg = degrees(g)
+        assert deg.dtype == np.int64
+        assert deg.tolist() == [h.degree(v) for v in range(n)]
+        assert is_connected(g) == nx.is_connected(h)
+
+    def test_cases_cover_connected_and_disconnected(self):
+        outcomes = {is_connected(Graph(n, _raw_edges(n, m, np.random.default_rng(seed))))
+                    for n, m, seed in GRAPH_CASES}
+        assert outcomes == {True, False}
+
+    def test_single_node_and_edgeless_graphs(self):
+        assert is_connected(Graph(1, [])) == nx.is_connected(_nx_graph(1, []))
+        g = Graph(5, np.empty((0, 2), dtype=np.int64))
+        assert g.edges == () and g.adjacency == ((),) * 5
+        assert degrees(g).dtype == np.int64 and not degrees(g).any()
+        assert not is_connected(g)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tree_view_matches_networkx_bfs_tree(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        # Random attachment under a random relabeling, so parents do not
+        # always carry smaller ids than their children.
+        label = rng.permutation(n)
+        edges = [(int(label[rng.integers(0, i)]), int(label[i])) for i in range(1, n)]
+        root = int(rng.integers(0, n))
+        t = tree_view(Graph(n, edges), root)
+        bfs = nx.bfs_tree(_nx_graph(n, edges), root)
+        parent = dict(nx.bfs_predecessors(bfs, root))
+        depth = nx.single_source_shortest_path_length(bfs, root)
+        for v in range(n):
+            assert t.parent[v] == parent.get(v, root)
+            assert t.depth[v] == depth[v]
+            assert t.subtree_size[v] == 1 + len(nx.descendants(bfs, v))
+            assert t.children[v] == tuple(sorted(bfs.successors(v)))
+
+    def test_tree_view_rejects_a_non_tree_with_n_minus_1_edges(self):
+        edges = [(0, 1), (2, 3), (3, 4), (4, 2), (4, 5)]
+        assert not nx.is_tree(_nx_graph(6, edges))
+        with pytest.raises(NotATreeError, match="disconnected"):
+            tree_view(Graph(6, edges), root=0)
+
+
+class TestRepresentation:
+    def test_array_input_equals_pair_list_input(self):
+        raw = _raw_edges(40, 120, np.random.default_rng(3))
+        from_list = Graph(40, raw)
+        from_array = Graph(40, np.array(raw))
+        assert from_array == from_list
+        assert hash(from_array) == hash(from_list)
+
+    def test_equal_graphs_hash_equal(self):
+        a = Graph(5, [(0, 1), (3, 2), (1, 4)])
+        b = Graph(5, [(4, 1), (2, 3), (1, 0), (0, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert a != Graph(6, [(0, 1), (3, 2), (1, 4)])
+        assert a != Graph(5, [(0, 1), (3, 2), (1, 3)])
+
+    def test_first_bad_edge_in_input_order_is_reported(self):
+        with pytest.raises(ValueError, match=r"edge \(5, 6\) outside \[0, 3\)"):
+            Graph(3, [(0, 1), (5, 6), (2, 2)])
+        with pytest.raises(ValueError, match="self-loop on node 2"):
+            Graph(3, [(0, 1), (2, 2), (5, 6)])
+        with pytest.raises(ValueError, match="self-loop on node 7"):
+            Graph(3, np.array([(7, 7), (0, -1)]))
+
+    def test_adjacency_csr_is_the_stored_symmetric_matrix(self):
+        g = generate_erdos_renyi(50, 0.1, seed=2)
+        csr = g.adjacency_csr()
+        assert csr is g.adjacency_csr()
+        assert csr.has_sorted_indices
+        assert (csr != csr.T).nnz == 0
+        assert csr.nnz == 2 * g.edge_count
+        assert g.adjacency is g.adjacency
