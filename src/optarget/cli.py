@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
-from . import experiments
+from . import experiments, heuristics
 from .engine import SolverConvergenceError
 from .equilibrium import Instance
 from .graphs import (
@@ -22,30 +23,14 @@ from .graphs import (
     load_edge_list,
     write_edge_list,
 )
-from .heuristics import (
-    blocking,
-    brute_force,
-    degree_heuristic,
-    greedy,
-    hill_climb,
-    hill_climb_multi,
-    tree_descent,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
 
-ALGORITHMS = {
-    "brute": brute_force,
-    "degree": degree_heuristic,
-    "greedy": greedy,
-    "blocking": blocking,
-    "descent": tree_descent,
-    "climb": hill_climb,
-    "climb-multi": hill_climb_multi,
-}
+ALGORITHMS = {label: getattr(heuristics, solver)
+              for label, solver in experiments.SOLVERS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--minus-count", type=int, default=None)
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--edge-p", type=float, default=None,
-                     help="fixed edge probability (overrides the a*log(n)/n rule)")
+                     help="fixed edge probability (treelike-otp)")
     exp.add_argument("--graph", default=None, help="edge-list path (facebook)")
     exp.add_argument("--out", default=None, help="CSV output path; stdout if omitted")
     return parser
@@ -113,7 +98,6 @@ def _cmd_generate(args) -> int:
     if args.kind == "er":
         if args.a is None:
             raise ValueError("--kind er needs --a")
-        import math
         p = min(1.0, args.a * math.log(args.n) / args.n) if args.n > 1 else 0.0
         g = generate_erdos_renyi(args.n, p, args.seed)
     elif args.kind == "complete":
@@ -153,20 +137,18 @@ def _cmd_experiment(args) -> int:
             overrides[name] = value
     cfg = experiments.default_config(args.experiment, seed=args.seed,
                                      out=args.out, **overrides)
-    if cfg.experiment == "facebook" and cfg.graph_path:
+    if cfg.graph_path:
         g = load_edge_list(cfg.graph_path)
         density = g.edge_count / g.node_count**2
         print(f"# graph: {g.node_count} nodes, {g.edge_count} edges, "
               f"density {density:.3g}", file=sys.stderr)
         cfg = dataclasses.replace(cfg, graph=g)
     rows = experiments.run_experiment(cfg)
-    text = experiments.rows_to_csv(rows)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        experiments.write_csv(rows, cfg.out)
         print(f"# wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(experiments.rows_to_csv(rows))
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ from .graphs import (
     is_connected,
     load_edge_list,
 )
-from .heuristics import (
+from .heuristics import (  # noqa: F401 - solvers are looked up via SOLVERS
     StrategyOutcome,
     blocking,
     brute_force,
@@ -36,8 +36,6 @@ from .heuristics import (
     tree_descent,
 )
 
-EXPERIMENTS = ("er-blocking", "random-trees", "er-treelike", "treelike-otp", "facebook")
-
 EXACTNESS_TOL = 1e-12
 
 CSV_COLUMNS = (
@@ -47,6 +45,14 @@ CSV_COLUMNS = (
 )
 
 _MAX_RESAMPLE = 10_000
+
+# Algorithm label (the CSV ``algorithm`` column, ``optarget solve
+# --algorithm``) -> the solver's name in this module, looked up at call time.
+SOLVERS = {
+    "brute": "brute_force", "degree": "degree_heuristic", "greedy": "greedy",
+    "blocking": "blocking", "descent": "tree_descent", "climb": "hill_climb",
+    "climb-multi": "hill_climb_multi",
+}
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -63,11 +69,16 @@ def derive_seed(master: int, *parts) -> int:
 class ExperimentConfig:
     """Seeded parameters for one batch experiment.
 
-    Grids not used by an experiment are ignored (e.g. ``lam`` outside the
-    random-tree study). ``edge_p``, when set, fixes the edge probability
-    directly instead of the ``a * log(n) / n`` rule. ``graph``, when set, is
-    the graph already loaded from ``graph_path``; the facebook runner uses it
-    instead of reading the file again.
+    The ``n``, ``a`` and ``lam`` grids an experiment does not use are ignored
+    (e.g. ``lam`` outside the random-tree study). Every other field it
+    cannot honour is rejected with ``ValueError``:
+
+    - ``edge_p`` is the fixed edge probability of treelike-otp (the other ER
+      studies use ``a * log(n) / n``);
+    - ``graph_path``, and ``graph`` (that file already loaded, so it is not
+      read again), belong to facebook;
+    - the single-target studies (random-trees, er-treelike, facebook) need
+      ``k_plus == 1``, and random-trees also ``minus_count == 1``.
     """
 
     experiment: str
@@ -90,6 +101,13 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        fam = _FAMILIES[self.experiment]
+        for name in ("edge_p", "graph_path", "graph"):
+            if getattr(self, name) is not None and name not in fam.uses:
+                raise ValueError(f"{self.experiment} does not use {name}")
+        for name in fam.fixed_at_one:
+            if getattr(self, name) != 1:
+                raise ValueError(f"{self.experiment} needs {name} = 1")
         object.__setattr__(self, "n", tuple(int(v) for v in self.n))
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
@@ -97,27 +115,8 @@ class ExperimentConfig:
 
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Paper-scale defaults for each experiment, overridable field by field."""
-    presets = {
-        "er-blocking": dict(
-            n=(400,), a=tuple(x / 2 for x in range(3, 21)), trials=50,
-            k_plus=5, minus_count=3,
-        ),
-        "random-trees": dict(
-            n=(50, 100, 200, 300, 400, 500), lam=(3.0, 6.0, 9.0, 12.0),
-            trials=50, k_plus=1, minus_count=1,
-        ),
-        "er-treelike": dict(
-            n=(100, 200, 300, 400, 500, 600, 700, 800), a=(1.5, 3.0, 4.5, 6.0),
-            trials=50, k_plus=1, minus_count=1,
-        ),
-        "treelike-otp": dict(
-            n=(200,), edge_p=0.1, trials=15, k_plus=3, minus_count=3,
-        ),
-        "facebook": dict(n=(), trials=10, k_plus=1, minus_count=1),
-    }
-    base = dict(presets[experiment])
-    base.update(overrides)
-    return ExperimentConfig(experiment=experiment, **base)
+    return ExperimentConfig(experiment=experiment,
+                            **{**_FAMILIES[experiment].preset, **overrides})
 
 
 @dataclass(frozen=True)
@@ -187,175 +186,150 @@ def sample_sized_tree(lam: float, n: int, master: int, *parts) -> Graph:
     raise RuntimeError(f"no size-{n} Poisson({lam}) tree in {_MAX_RESAMPLE} draws")
 
 
-def _pick_nodes(n: int, count: int, seed: int) -> frozenset[int]:
-    rng = np.random.default_rng(seed)
-    return frozenset(int(v) for v in rng.choice(n, size=count, replace=False))
-
-
-def run_er_blocking(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Degree vs greedy vs blocking on connected G(n, a log n / n) graphs."""
-    rows = []
+def _er_cells(cfg: ExperimentConfig):
+    """(n, a) grid, n outermost, with edge probability a * log(n) / n."""
     for n in cfg.n:
         for ai, a in enumerate(cfg.a):
-            p = a * math.log(n) / n
-            for trial in range(cfg.trials):
-                g = sample_connected_er(n, p, cfg.seed, "er-blocking", n, ai, trial)
-                minus = _pick_nodes(
-                    n, cfg.minus_count,
-                    derive_seed(cfg.seed, "er-blocking-minus", n, ai, trial),
-                )
-                inst = Instance(g, minus, frozenset(), cfg.k_plus)
-                for name, fn in (("degree", degree_heuristic),
-                                 ("greedy", greedy),
-                                 ("blocking", blocking)):
-                    out, ms = _timed(fn, inst)
-                    rows.append(ResultRow(
-                        cfg.experiment, n, a, None, cfg.k_plus, cfg.minus_count,
-                        trial, name, out.objective,
-                        out.visited_nodes / n, out.equilibrium_evaluations,
-                        None, ms,
-                    ))
-    return rows
+            yield n, a, None, a * math.log(n) / n, (n, ai)
 
 
-def run_random_trees(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Tree descent vs exhaustive search on Poisson branching trees."""
-    rows = []
-    for lam in cfg.lam:
-        for n in cfg.n:
-            for trial in range(cfg.trials):
-                g = sample_sized_tree(lam, n, cfg.seed, "random-trees", lam, n, trial)
-                minus = _pick_nodes(
-                    n, 1, derive_seed(cfg.seed, "random-trees-minus", lam, n, trial))
-                inst = Instance(g, minus, frozenset(), 1)
-                exact, ms_b = _timed(brute_force, inst)
-                walk, ms_d = _timed(tree_descent, inst)
-                found = abs(exact.objective - walk.objective) <= EXACTNESS_TOL
-                rows.append(ResultRow(
-                    cfg.experiment, n, None, lam, 1, 1, trial, "descent",
-                    walk.objective, walk.visited_nodes / n,
-                    walk.equilibrium_evaluations, found, ms_d,
-                ))
-                rows.append(ResultRow(
-                    cfg.experiment, n, None, lam, 1, 1, trial, "brute",
-                    exact.objective, exact.visited_nodes / n,
-                    exact.equilibrium_evaluations, None, ms_b,
-                ))
-    return rows
+def _graph_cells(cfg: ExperimentConfig):
+    """The single cell of a loaded graph; its sampler input is the graph."""
+    if cfg.graph is None and not cfg.graph_path:
+        raise ValueError(f"{cfg.experiment} experiment needs graph_path")
+    g = cfg.graph or load_edge_list(cfg.graph_path)
+    return [(g.node_count, None, None, g, ())]
 
 
-def _single_target_instance(cfg: ExperimentConfig, n: int, p: float, ai,
-                            trial: int) -> tuple[Instance, StrategyOutcome, float]:
-    """Connected ER instance for single-target studies; resamples the rare
-    configurations whose optimum is exactly zero (the relative success
-    criterion is undefined there). Returns the instance with its exact
-    outcome and the milliseconds the exact search took."""
-    for attempt in range(_MAX_RESAMPLE):
-        g = sample_connected_er(n, p, cfg.seed, cfg.experiment, n, ai, trial, attempt)
-        minus = _pick_nodes(
-            n, cfg.minus_count,
-            derive_seed(cfg.seed, cfg.experiment + "-minus", n, ai, trial, attempt),
-        )
-        inst = Instance(g, minus, frozenset(), 1)
-        exact, ms = _timed(brute_force, inst)
-        if abs(exact.objective) > EXACTNESS_TOL:
-            return inst, exact, ms
+@dataclass(frozen=True)
+class _Family:
+    """One experiment family: its preset, how a trial is drawn, what runs on
+    it, and how each heuristic row is scored.
+
+    ``cells(cfg)`` yields the grid cells in row order as ``(n, a, lam, x,
+    key)``: the row's n, a and lambda, the sampler input and the seed key.
+    ``sample(n, x, master, *parts)`` draws one graph. Algorithms are named by
+    their ``SOLVERS`` label. The ``reference`` runs first and its row comes
+    last; ``success(best, found)`` compares each heuristic with it (blank
+    when ``None``).
+    """
+
+    preset: dict
+    cells: Callable[[ExperimentConfig], Iterable[tuple]]
+    sample: Callable[..., Graph]
+    heuristics: tuple[str, ...]
+    reference: str | None = None
+    success: Callable[[float, float], bool] | None = None
+    nonzero_optimum: bool = False  # redraw while the reference optimum is zero
+    uses: tuple[str, ...] = ()  # which of edge_p, graph_path, graph it reads
+    fixed_at_one: tuple[str, ...] = ()  # of k_plus, minus_count
+
+
+_OTP_EDGE_P = 0.1
+
+_FAMILIES = {
+    # Degree vs greedy vs blocking on connected G(n, a log n / n) graphs.
+    "er-blocking": _Family(
+        preset=dict(n=(400,), a=tuple(x / 2 for x in range(3, 21)), trials=50,
+                    k_plus=5, minus_count=3),
+        cells=_er_cells,
+        sample=lambda n, p, *seed: sample_connected_er(n, p, *seed),
+        heuristics=("degree", "greedy", "blocking"),
+    ),
+    # Tree descent vs exhaustive search on Poisson branching trees.
+    "random-trees": _Family(
+        preset=dict(n=(50, 100, 200, 300, 400, 500), lam=(3.0, 6.0, 9.0, 12.0),
+                    trials=50, k_plus=1, minus_count=1),
+        cells=lambda cfg: ((n, None, lam, lam, (lam, n))
+                           for lam in cfg.lam for n in cfg.n),
+        sample=lambda n, lam, *seed: sample_sized_tree(lam, n, *seed),
+        heuristics=("descent",),
+        reference="brute",
+        success=lambda best, found: abs(best - found) <= EXACTNESS_TOL,
+        fixed_at_one=("k_plus", "minus_count"),
+    ),
+    # Hill climb vs exhaustive single-target search on ER graphs; instances
+    # whose optimum is exactly zero are redrawn (relative success is
+    # undefined there).
+    "er-treelike": _Family(
+        preset=dict(n=(100, 200, 300, 400, 500, 600, 700, 800),
+                    a=(1.5, 3.0, 4.5, 6.0), trials=50, k_plus=1, minus_count=1),
+        cells=_er_cells,
+        sample=lambda n, p, *seed: sample_connected_er(n, p, *seed),
+        heuristics=("climb",),
+        reference="brute",
+        success=success,
+        nonzero_optimum=True,
+        fixed_at_one=("k_plus",),
+    ),
+    # Budgeted hill climbing vs greedy on moderately dense ER graphs. The
+    # climb's visited fraction is per step: visited / (k_plus * n).
+    "treelike-otp": _Family(
+        preset=dict(n=(200,), edge_p=_OTP_EDGE_P, trials=15, k_plus=3, minus_count=3),
+        cells=lambda cfg: (
+            (n, None, None, _OTP_EDGE_P if cfg.edge_p is None else cfg.edge_p, (n,))
+            for n in cfg.n),
+        sample=lambda n, p, *seed: sample_connected_er(n, p, *seed),
+        heuristics=("climb-multi",),
+        reference="greedy",
+        uses=("edge_p",),
+    ),
+    # Hill climb vs exhaustive single-target search on a loaded edge list.
+    "facebook": _Family(
+        preset=dict(n=(), trials=10, k_plus=1, minus_count=1),
+        cells=_graph_cells,
+        sample=lambda n, g, *seed: g,
+        heuristics=("climb",),
+        reference="brute",
+        success=success,
+        uses=("graph_path", "graph"),
+        fixed_at_one=("k_plus",),
+    ),
+}
+
+EXPERIMENTS = tuple(_FAMILIES)
+
+
+def _draw(cfg: ExperimentConfig, fam: _Family, n: int, x, parts: tuple):
+    """One trial's instance, with its reference outcome and the milliseconds
+    the reference took (``None, 0.0`` without one). Seed parts are
+    ``(experiment, *parts)``, plus the redraw attempt where the family needs
+    a nonzero optimum."""
+    attempts = ((i,) for i in range(_MAX_RESAMPLE)) if fam.nonzero_optimum else [()]
+    for attempt in attempts:
+        seed_parts = (*parts, *attempt)
+        g = fam.sample(n, x, cfg.seed, cfg.experiment, *seed_parts)
+        rng = np.random.default_rng(
+            derive_seed(cfg.seed, cfg.experiment + "-minus", *seed_parts))
+        minus = frozenset(int(v) for v in rng.choice(n, cfg.minus_count, replace=False))
+        inst = Instance(g, minus, frozenset(), cfg.k_plus)
+        if fam.reference is None:
+            return inst, None, 0.0
+        ref, ms = _timed(globals()[SOLVERS[fam.reference]], inst)
+        if not fam.nonzero_optimum or abs(ref.objective) > EXACTNESS_TOL:
+            return inst, ref, ms
     raise RuntimeError("could not sample an instance with a nonzero optimum")
 
 
-def run_er_treelike(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Hill climb vs exhaustive single-target search on ER graphs."""
-    rows = []
-    for n in cfg.n:
-        for ai, a in enumerate(cfg.a):
-            p = a * math.log(n) / n
-            for trial in range(cfg.trials):
-                inst, exact, ms_b = _single_target_instance(cfg, n, p, ai, trial)
-                walk, ms_w = _timed(hill_climb, inst)
-                rows.append(ResultRow(
-                    cfg.experiment, n, a, None, 1, cfg.minus_count, trial, "climb",
-                    walk.objective, walk.visited_nodes / n,
-                    walk.equilibrium_evaluations,
-                    success(exact.objective, walk.objective), ms_w,
-                ))
-                rows.append(ResultRow(
-                    cfg.experiment, n, a, None, 1, cfg.minus_count, trial, "brute",
-                    exact.objective, exact.visited_nodes / n,
-                    exact.equilibrium_evaluations, None, ms_b,
-                ))
-    return rows
-
-
-def run_facebook(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Hill climb vs exhaustive single-target search on a loaded edge list."""
-    if cfg.graph is not None:
-        g = cfg.graph
-    elif cfg.graph_path:
-        g = load_edge_list(cfg.graph_path)
-    else:
-        raise ValueError("facebook experiment needs graph_path")
-    n = g.node_count
-    rows = []
-    for trial in range(cfg.trials):
-        minus = _pick_nodes(n, 1, derive_seed(cfg.seed, "facebook-minus", trial))
-        inst = Instance(g, minus, frozenset(), 1)
-        exact, ms_b = _timed(brute_force, inst)
-        walk, ms_w = _timed(hill_climb, inst)
-        rows.append(ResultRow(
-            cfg.experiment, n, None, None, 1, 1, trial, "climb",
-            walk.objective, walk.visited_nodes / n,
-            walk.equilibrium_evaluations,
-            success(exact.objective, walk.objective), ms_w,
-        ))
-        rows.append(ResultRow(
-            cfg.experiment, n, None, None, 1, 1, trial, "brute",
-            exact.objective, exact.visited_nodes / n,
-            exact.equilibrium_evaluations, None, ms_b,
-        ))
-    return rows
-
-
-def run_treelike_otp(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Budgeted hill climbing vs greedy on moderately dense ER graphs.
-
-    Greedy's visited fraction is 1.0 by definition (it scores every available
-    candidate at every step); the climb's fraction is per step: visited nodes
-    divided by budget times node count.
-    """
-    p = cfg.edge_p if cfg.edge_p is not None else 0.1
-    rows = []
-    for n in cfg.n:
-        for trial in range(cfg.trials):
-            g = sample_connected_er(n, p, cfg.seed, "treelike-otp", n, trial)
-            minus = _pick_nodes(
-                n, cfg.minus_count,
-                derive_seed(cfg.seed, "treelike-otp-minus", n, trial))
-            inst = Instance(g, minus, frozenset(), cfg.k_plus)
-            gr, ms_g = _timed(greedy, inst)
-            hc, ms_h = _timed(hill_climb_multi, inst)
-            rows.append(ResultRow(
-                cfg.experiment, n, None, None, cfg.k_plus, cfg.minus_count,
-                trial, "climb-multi", hc.objective,
-                hc.visited_nodes / (cfg.k_plus * n),
-                hc.equilibrium_evaluations, None, ms_h,
-            ))
-            rows.append(ResultRow(
-                cfg.experiment, n, None, None, cfg.k_plus, cfg.minus_count,
-                trial, "greedy", gr.objective, 1.0,
-                gr.equilibrium_evaluations, None, ms_g,
-            ))
-    return rows
-
-
-_RUNNERS = {
-    "er-blocking": run_er_blocking,
-    "random-trees": run_random_trees,
-    "er-treelike": run_er_treelike,
-    "treelike-otp": run_treelike_otp,
-    "facebook": run_facebook,
-}
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Dispatch a configuration to its runner and return the result rows."""
-    return _RUNNERS[cfg.experiment](cfg)
+    """Run every trial of every grid cell and return the result rows."""
+    fam = _FAMILIES[cfg.experiment]
+    rows = []
+    for n, a, lam, x, key in fam.cells(cfg):
+        for trial in range(cfg.trials):
+            inst, ref, ref_ms = _draw(cfg, fam, n, x, (*key, trial))
+            runs = []
+            for algorithm in fam.heuristics:
+                out, ms = _timed(globals()[SOLVERS[algorithm]], inst)
+                found = fam.success(ref.objective, out.objective) if fam.success else None
+                runs.append((algorithm, out, ms, found))
+            if ref is not None:
+                runs.append((fam.reference, ref, ref_ms, None))
+            for algorithm, out, ms, found in runs:
+                scale = cfg.k_plus * n if algorithm == "climb-multi" else n
+                rows.append(ResultRow(
+                    cfg.experiment, n, a, lam, cfg.k_plus, cfg.minus_count, trial,
+                    algorithm, out.objective, out.visited_nodes / scale,
+                    out.equilibrium_evaluations, found, ms,
+                ))
+    return rows

@@ -41,7 +41,7 @@ class Graph:
             the CSR on first use and cached.
     """
 
-    __slots__ = ("node_count", "_csr", "_adjacency")
+    __slots__ = ("node_count", "_csr", "_adjacency", "_connected")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]]):
         if node_count < 1:
@@ -68,6 +68,7 @@ class Graph:
         object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "_csr", csr)
         object.__setattr__(self, "_adjacency", None)
+        object.__setattr__(self, "_connected", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -291,8 +292,11 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a breadth-first search from node 0 reaches every node."""
-    return len(_bfs(g, 0)[0]) == g.node_count
+    """True iff a breadth-first search from node 0 reaches every node. The
+    answer is cached on the (immutable) graph, so a second check is free."""
+    if g._connected is None:
+        object.__setattr__(g, "_connected", len(_bfs(g, 0)[0]) == g.node_count)
+    return g._connected
 
 
 def degrees(g: Graph) -> np.ndarray:

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -76,6 +77,11 @@ class TestConfig:
         cfg = default_config("er-blocking", n=(40,), trials=2, seed=5)
         assert cfg.n == (40,) and cfg.trials == 2 and cfg.seed == 5
 
+    def test_preloaded_graph_outside_facebook_rejected(self):
+        # The CLI cases of this rule are in TestCli; ``graph`` has no flag.
+        with pytest.raises(ValueError, match="treelike-otp does not use graph"):
+            default_config("treelike-otp", graph=generate_line(5))
+
 
 class TestRunners:
     def test_er_blocking_rows(self):
@@ -95,17 +101,37 @@ class TestRunners:
         assert all(r.success for r in descent)
         assert all(r.visited_fraction <= 1.0 for r in rows)
 
-    def test_er_treelike_rows(self, monkeypatch):
-        calls = []
-        exact = experiments.brute_force
-        monkeypatch.setattr(experiments, "brute_force",
-                            lambda inst: calls.append(inst) or exact(inst))
+    def test_er_treelike_rows(self):
         cfg = default_config("er-treelike", n=(40,), a=(3.0,), trials=2, seed=11)
         rows = run_experiment(cfg)
         climb = [r for r in rows if r.algorithm == "climb"]
         assert len(climb) == 2
         assert all(r.success is not None for r in climb)
-        assert len(calls) == 2  # the sampler's exact search is reused
+
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("er-blocking", dict(n=(40,), a=(3.0,))),
+        ("random-trees", dict(n=(30,), lam=(3.0,))),
+        ("er-treelike", dict(n=(40,), a=(3.0,))),  # no zero optimum to redraw
+        ("treelike-otp", dict(n=(40,))),
+        ("facebook", dict()),
+    ])
+    def test_solvers_run_once_per_trial_through_module_bindings(
+            self, experiment, overrides, monkeypatch, tmp_path):
+        # perfbench traces solvers by patching these bindings, so the runner
+        # must look them up at call time.
+        calls = Counter()
+        for solver in set(experiments.SOLVERS.values()):
+            real = getattr(experiments, solver)
+            monkeypatch.setattr(experiments, solver, lambda inst, real=real, solver=solver:
+                                calls.update([solver]) or real(inst))
+        if experiment == "facebook":
+            overrides["graph_path"] = str(tmp_path / "edges.txt")
+            write_edge_list(sample_connected_er(30, 0.15, 1, "synthetic"),
+                            overrides["graph_path"])
+        rows = run_experiment(default_config(experiment, trials=2, seed=11, **overrides))
+        ran = {experiments.SOLVERS[r.algorithm] for r in rows}
+        assert len(rows) == 2 * len(ran)  # one row per solver and trial
+        assert calls == {solver: 2 for solver in ran}
 
     def test_treelike_otp_rows(self):
         cfg = default_config("treelike-otp", n=(40,), trials=2, k_plus=2,
@@ -187,6 +213,29 @@ class TestCli:
         assert self.run("solve", "--graph", str(star), "--minus", "2",
                         "--algorithm", "degree") == 0
         assert '"0"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ("--experiment", "er-blocking", "--edge-p", "0.2"),
+        ("--experiment", "er-treelike", "--edge-p", "0.2"),
+        ("--experiment", "er-blocking", "--graph", "edges.txt"),
+        ("--experiment", "random-trees", "--k-plus", "3"),
+        ("--experiment", "random-trees", "--minus-count", "2"),
+        ("--experiment", "er-treelike", "--k-plus", "3"),
+        ("--experiment", "facebook", "--graph", "edges.txt", "--k-plus", "3"),
+    ])
+    def test_ignored_override_is_usage_error(self, argv, capsys):
+        assert self.run("experiment", *argv, "--n", "20", "--trials", "1") == 1
+        assert re.search(r"does not use|needs", capsys.readouterr().err)
+
+    def test_facebook_honors_minus_count(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        write_edge_list(sample_connected_er(25, 0.2, 1, "minus"), path)
+        out = tmp_path / "rows.csv"
+        assert self.run("experiment", "--experiment", "facebook", "--graph", str(path),
+                        "--minus-count", "2", "--trials", "1", "--out", str(out)) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(line.split(",")[5] == "2" for line in rows)
 
     def test_experiment_to_file(self, tmp_path):
         out = tmp_path / "rows.csv"

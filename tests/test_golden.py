@@ -1,10 +1,10 @@
 """Golden outputs: small seeded experiments and CLI solves, byte for byte.
 
 The fixtures in ``tests/golden/`` are the CSVs of small seed-7
-configurations of every experiment family (dense backend, ``wall_time_ms``
-column stripped) and the ``optarget solve`` output of every algorithm on
-one small edge list. A refactor must reproduce them exactly. After an
-intended behaviour change, regenerate them with
+configurations, one or more per experiment family (dense backend,
+``wall_time_ms`` column stripped), and the ``optarget solve`` output of
+every algorithm on one small edge list. A refactor must reproduce them
+exactly. After an intended behaviour change, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,12 +21,17 @@ GOLDEN = Path(__file__).parent / "golden"
 GRAPH = GOLDEN / "graph.txt"
 SEED = 7
 
+# Fixture name -> (experiment family, config overrides).
 EXPERIMENT_CONFIGS = {
-    "er-blocking": dict(n=(60,), a=(1.5, 3.0), trials=3, k_plus=3, minus_count=2),
-    "random-trees": dict(n=(30, 60), lam=(3.0, 9.0), trials=3),
-    "er-treelike": dict(n=(40, 80), a=(1.5, 3.0), trials=3),
-    "treelike-otp": dict(n=(50,), edge_p=0.1, trials=3, k_plus=3, minus_count=3),
-    "facebook": dict(graph_path=str(GRAPH), trials=3),
+    "er-blocking": ("er-blocking",
+                    dict(n=(60,), a=(1.5, 3.0), trials=3, k_plus=3, minus_count=2)),
+    "random-trees": ("random-trees", dict(n=(30, 60), lam=(3.0, 9.0), trials=3)),
+    "er-treelike": ("er-treelike", dict(n=(40, 80), a=(1.5, 3.0), trials=3)),
+    # Tiny graphs: several trials resample an instance whose optimum is zero.
+    "er-treelike-resample": ("er-treelike", dict(n=(10,), a=(3.0,), trials=10)),
+    "treelike-otp": ("treelike-otp",
+                     dict(n=(50,), edge_p=0.1, trials=3, k_plus=3, minus_count=3)),
+    "facebook": ("facebook", dict(graph_path=str(GRAPH), trials=3)),
 }
 
 _BUDGETED = ("--minus", "0,7,12", "--plus-base", "3", "--k-plus", "4")
@@ -43,7 +48,8 @@ SOLVE_ARGS = {
 
 def experiment_csv(name: str) -> str:
     """CSV of one small configuration with the wall_time_ms column stripped."""
-    cfg = experiments.default_config(name, seed=SEED, **EXPERIMENT_CONFIGS[name])
+    family, overrides = EXPERIMENT_CONFIGS[name]
+    cfg = experiments.default_config(family, seed=SEED, **overrides)
     text = experiments.rows_to_csv(experiments.run_experiment(cfg))
     return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
 

@@ -23,6 +23,7 @@ from optarget import (
     tree_view,
     write_edge_list,
 )
+import optarget.graphs as graphs
 from conftest import random_tree, star_graph
 
 
@@ -215,6 +216,17 @@ class TestConnectivity:
 
     def test_line_connected(self):
         assert is_connected(generate_line(10))
+
+    @pytest.mark.parametrize("edges, connected", [([(0, 1), (1, 2)], True),
+                                                  ([(0, 1)], False)])
+    def test_answer_is_cached_on_the_graph(self, edges, connected, monkeypatch):
+        roots = []
+        bfs = graphs._bfs
+        monkeypatch.setattr(graphs, "_bfs", lambda g, root: roots.append(root) or bfs(g, root))
+        g = Graph(3, edges)
+        assert is_connected(g) is connected
+        assert is_connected(g) is connected
+        assert roots == [0]
 
 
 class TestTreeView:
