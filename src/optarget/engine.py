@@ -18,11 +18,13 @@ Backends: a dense inverse for moderate sizes; above ``DENSE_CUTOFF`` nodes, a
 sparse LU factorization of the symmetric positive definite ``M`` in SuperLU's
 symmetric mode (minimum-degree ordering on ``M + M^T``, diagonal pivots), with
 inverse columns solved on demand and kept in a cache of at most
-``_COL_CACHE_SIZE`` columns. A gain sweep needs the whole diagonal of
-``M^-1``; the sparse backend solves for it in batches of ``_DIAG_CHUNK``
-columns. Sparse solves for single columns and base vectors take one step of
-iterative refinement; the diagonal pass refines only the entries it keeps,
-each by the second-order correction ``x_j + x_j^T (e_j - M x_j)``.
+``_COL_CACHE_SIZE`` columns. Sparse vector solves take one step of iterative
+refinement. A gain sweep needs the whole diagonal of ``M^-1``; it is computed
+once, in fixed batches of ``_DIAG_CHUNK`` columns, each entry refined by the
+second-order correction ``x_j + x_j^T (e_j - M x_j)``, so a sweep does not
+depend on which evaluations ran before. A residual above
+``RESIDUAL_RTOL * max(1, d_max)`` in the base solve, a diagonal batch or a
+returned profile raises :class:`SolverConvergenceError`.
 
 With no attachment at all the base is singular, but every nonempty target
 set has the closed-form consensus x = 1, which the solver returns directly.
@@ -30,6 +32,7 @@ set has the closed-form consensus x = 1, which the solver returns directly.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -75,18 +78,12 @@ class OpinionSolver:
         n = graph.node_count
         self.graph = graph
         self.n = n
-        self._minus = _as_index(minus)
-        self._plus = _as_index(plus_base)
         self._adj = graph.adjacency_csr()
-        anchor = np.zeros(n, dtype=np.float64)
-        rhs0 = np.zeros(n, dtype=np.float64)
-        anchor[self._minus] += 1.0
-        rhs0[self._minus] -= 1.0
-        anchor[self._plus] += 1.0
-        rhs0[self._plus] += 1.0
-        self.base_diag = degrees(graph).astype(np.float64) + anchor
-        self.rhs0 = rhs0
-        self.anchored = bool(anchor.any())
+        plus_links = np.bincount(_as_index(plus_base), minlength=n)
+        minus_links = np.bincount(_as_index(minus), minlength=n)
+        self.base_diag = (degrees(graph) + plus_links + minus_links).astype(np.float64)
+        self.rhs0 = (plus_links - minus_links).astype(np.float64)
+        self.anchored = bool(plus_links.any() or minus_links.any())
         self.dense = n <= dense_cutoff
         self._col_cache: dict[int, np.ndarray] = {}
         self._gains_cache: tuple[tuple[int, ...], np.ndarray] | None = None
@@ -95,38 +92,32 @@ class OpinionSolver:
             # every opinion to +1, as x = 1 solves (L + e_v e_v^T) x = e_v.
             return
         if self.dense:
-            m0 = np.diag(self.base_diag) - self._adj.toarray()
-            self._inv = np.linalg.inv(m0)
-            self._lu = None
-            self._x0 = self._inv @ rhs0
+            self._inv = np.linalg.inv(np.diag(self.base_diag) - self._adj.toarray())
+            self._x0 = self._inv @ self.rhs0
             self._w0 = self._inv.sum(axis=1)
-            self._g0 = np.diag(self._inv).copy()
         else:
-            m0 = sp.diags(self.base_diag) - self._adj
-            self._inv = None
-            self._lu = _splu_spd(m0)
-            self._x0 = self._refine(self._lu.solve(rhs0), rhs0)
-            ones = np.ones(n)
-            self._w0 = self._refine(self._lu.solve(ones), ones)
-            self._g0 = np.full(n, np.nan)
-        self._check_base_residual()
+            self._lu = _splu_spd(sp.diags(self.base_diag) - self._adj)
+            self._x0 = self._solve(self.rhs0)
+            self._w0 = self._solve(np.ones(n))
+        self._check(self.residual_norm((), self._x0), (), "base solve")
 
     # -- base solve bookkeeping ----------------------------------------
 
     def _apply_base(self, x: np.ndarray) -> np.ndarray:
-        return self.base_diag * x - self._adj @ x
+        """``M x`` for a vector or a block of columns."""
+        return (self.base_diag * x.T).T - self._adj @ x
 
-    def _refine(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # One step of iterative refinement keeps large sparse solves near
         # machine precision, which downstream 1e-12 cross-checks rely on.
+        x = self._lu.solve(rhs)
         return x + self._lu.solve(rhs - self._apply_base(x))
 
-    def _check_base_residual(self) -> None:
-        tol = self.residual_tolerance(())
-        res = np.abs(self._apply_base(self._x0) - self.rhs0).max()
+    def _check(self, res: float, extra: Sequence[int], what: str) -> None:
+        tol = self.residual_tolerance(extra)
         if not res <= tol:
             raise SolverConvergenceError(
-                f"base solve residual {res:.3e} exceeds tolerance {tol:.3e}"
+                f"{what} residual {res:.3e} exceeds tolerance {tol:.3e}"
             )
 
     @property
@@ -137,55 +128,54 @@ class OpinionSolver:
 
     # -- inverse access -------------------------------------------------
 
-    def _column(self, v: int) -> np.ndarray:
-        if self.dense:
-            return self._inv[:, v]
-        col = self._col_cache.pop(v, None)
-        if col is None:
-            e = np.zeros(self.n)
-            e[v] = 1.0
-            col = self._refine(self._lu.solve(e), e)
-            self._g0[v] = col[v]
-            if len(self._col_cache) >= _COL_CACHE_SIZE:
-                del self._col_cache[next(iter(self._col_cache))]
-        self._col_cache[v] = col  # most recently used last
-        return col
-
     def _columns(self, idx: np.ndarray) -> np.ndarray:
+        """``M^-1[:, idx]``; sparse columns are solved one at a time."""
         if self.dense:
             return self._inv[:, idx]
-        return np.column_stack([self._column(int(v)) for v in idx])
+        cols = []
+        for v in idx.tolist():
+            col = self._col_cache.pop(v, None)
+            if col is None:
+                e = np.zeros(self.n)
+                e[v] = 1.0
+                col = self._solve(e)
+                if len(self._col_cache) >= _COL_CACHE_SIZE:
+                    del self._col_cache[next(iter(self._col_cache))]
+            self._col_cache[v] = col  # most recently used last
+            cols.append(col)
+        return np.column_stack(cols)
 
-    def _ensure_diag(self, nodes: np.ndarray) -> None:
+    @cached_property
+    def _g0(self) -> np.ndarray:
+        """``diag(M^-1)``, computed for every node on the first gain sweep."""
         if self.dense:
-            return
-        # Each entry gets the scalar form of one refinement step: since M is
+            return np.diag(self._inv).copy()
+        # Fixed chunks, so the result does not depend on earlier calls. Each
+        # entry gets the scalar form of one refinement step: since M is
         # symmetric, e_j^T M^-1 r_j = x_j^T r_j for the column x_j and its
         # residual r_j, which is second-order accurate like the full step at
         # the cost of one sparse product instead of a second n-column solve.
-        tol = self.residual_tolerance(())
-        missing = nodes[np.isnan(self._g0[nodes])]
-        for start in range(0, missing.size, _DIAG_CHUNK):
-            chunk = missing[start:start + _DIAG_CHUNK]
+        g0 = np.empty(self.n)
+        for start in range(0, self.n, _DIAG_CHUNK):
+            chunk = np.arange(start, min(start + _DIAG_CHUNK, self.n))
             at = (chunk, np.arange(chunk.size))
             eye = np.zeros((self.n, chunk.size))
             eye[at] = 1.0
             cols = self._lu.solve(eye)
-            res = eye - (self.base_diag[:, None] * cols - self._adj @ cols)
-            worst = np.abs(res).max()
-            if not worst <= tol:
-                raise SolverConvergenceError(
-                    f"diagonal solve residual {worst:.3e} exceeds tolerance {tol:.3e}"
-                )
-            self._g0[chunk] = cols[at] + np.einsum("ij,ij->j", cols, res)
+            res = eye - self._apply_base(cols)
+            self._check(float(np.abs(res).max()), (), "diagonal solve")
+            g0[chunk] = cols[at] + np.einsum("ij,ij->j", cols, res)
+        return g0
 
     # -- evaluation -----------------------------------------------------
 
-    def _correction(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Columns Z and capacitance factor C for the update set ``idx``."""
+    def _update(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Woodbury pieces for the extra targets ``idx``: the columns
+        ``Z = M^-1[:, idx]``, the capacitance matrix ``C = I + Z[idx]`` and
+        ``C^-1 (1 - x0[idx])``."""
         z = self._columns(idx)
         c = np.eye(idx.size) + z[idx, :]
-        return z, c
+        return z, c, np.linalg.solve(c, 1.0 - self._x0[idx])
 
     def objective(self, extra: Sequence[int] = ()) -> float:
         """Mean steady-state opinion with ``extra`` additional plus targets."""
@@ -194,22 +184,27 @@ class OpinionSolver:
             return self.base_objective
         if not self.anchored:
             return 1.0
-        z, c = self._correction(idx)
-        alpha = np.linalg.solve(c, 1.0 - self._x0[idx])
+        _, _, alpha = self._update(idx)
         return float(self.base_objective + self._w0[idx] @ alpha / self.n)
 
     def profile(self, extra: Sequence[int] = ()) -> np.ndarray:
-        """Full steady-state opinion vector for the given extra targets."""
+        """Full steady-state opinion vector for the given extra targets.
+
+        Raises :class:`SolverConvergenceError` if it misses the balance
+        equations by more than :meth:`residual_tolerance`.
+        """
         idx = _as_index(extra)
         if not self.anchored:
             if idx.size == 0:
                 raise ValueError("no strategic attachment: profile undefined")
-            return np.ones(self.n)
-        if idx.size == 0:
-            return self._x0.copy()
-        z, c = self._correction(idx)
-        alpha = np.linalg.solve(c, 1.0 - self._x0[idx])
-        return self._x0 + z @ alpha
+            x = np.ones(self.n)
+        elif idx.size == 0:
+            x = self._x0.copy()
+        else:
+            z, _, alpha = self._update(idx)
+            x = self._x0 + z @ alpha
+        self._check(self.residual_norm(idx, x), idx, "equilibrium")
+        return x
 
     def gains(self, committed: Sequence[int] = ()) -> np.ndarray:
         """Marginal objective gain of adding each single node to ``committed``.
@@ -226,29 +221,23 @@ class OpinionSolver:
             # itself; once a target is committed nothing more can be gained.
             gains = np.full(self.n, 0.0 if key else 1.0)
         else:
-            gains = self._gains_anchored(np.asarray(key, dtype=np.int64))
+            x, w, g = self._x0, self._w0, self._g0
+            if key:
+                idx = np.asarray(key, dtype=np.int64)
+                z, c, alpha = self._update(idx)
+                x = x + z @ alpha
+                w = w - z @ np.linalg.solve(c, w[idx])
+                g = g - np.einsum("ij,ji->i", z, np.linalg.solve(c, z.T))
+            gains = w * (1.0 - x) / (self.n * (1.0 + g))
         self._gains_cache = (key, gains)
         return gains
-
-    def _gains_anchored(self, idx: np.ndarray) -> np.ndarray:
-        self._ensure_diag(np.arange(self.n))
-        if idx.size == 0:
-            x, w, g = self._x0, self._w0, self._g0
-        else:
-            z, c = self._correction(idx)
-            x = self._x0 + z @ np.linalg.solve(c, 1.0 - self._x0[idx])
-            w = self._w0 - z @ np.linalg.solve(c, self._w0[idx])
-            g = self._g0 - np.einsum("ij,ji->i", z, np.linalg.solve(c, z.T))
-        return w * (1.0 - x) / (self.n * (1.0 + g))
 
     def residual_norm(self, extra: Sequence[int], x: np.ndarray) -> float:
         """Infinity norm of ``M_A x - s_A`` for the system with extra targets."""
         idx = _as_index(extra)
-        diag = self.base_diag.copy()
-        rhs = self.rhs0.copy()
-        diag[idx] += 1.0
-        rhs[idx] += 1.0
-        return float(np.abs(diag * x - self._adj @ x - rhs).max())
+        res = self._apply_base(x) - self.rhs0
+        res[idx] += x[idx] - 1.0
+        return float(np.abs(res).max())
 
     def residual_tolerance(self, extra: Sequence[int]) -> float:
         idx = _as_index(extra)

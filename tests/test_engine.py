@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from optarget import engine
-from optarget import Instance, generate_line, solve_equilibrium, verify_electrical
+from optarget import (
+    Instance,
+    generate_erdos_renyi,
+    generate_line,
+    solve_equilibrium,
+    verify_electrical,
+)
 from optarget.engine import OpinionSolver, SolverConvergenceError
 from conftest import random_connected_graph
 
@@ -96,6 +102,39 @@ class TestSparseDiagonalPass:
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(SolverConvergenceError, match="diagonal solve residual"):
             sparse.gains(())
+
+    def test_sweep_does_not_depend_on_earlier_profiles(self):
+        # Column solves for profiles used to seed the diagonal, which moved
+        # the batches of the diagonal pass and the last bits of the gains.
+        n = 300
+        g = generate_erdos_renyi(n, 3 * math.log(n) / n, seed=5)
+        fresh = OpinionSolver(g, (1, 2), (), dense_cutoff=0)
+        used = OpinionSolver(g, (1, 2), (), dense_cutoff=0)
+        for extra in [(5,), (77,), (150,)]:
+            used.profile(extra)
+        assert np.array_equal(used.gains(()), fresh.gains(()))
+
+
+@pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])
+class TestResidualRule:
+    """With a zero tolerance every residual check fails, so each one is seen
+    to run."""
+
+    def test_base_solve(self, backends, cutoff, monkeypatch):
+        dense, _ = backends
+        monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
+        with pytest.raises(SolverConvergenceError, match="base solve residual"):
+            OpinionSolver(dense.graph, (3, 40), (7,), dense_cutoff=cutoff)
+
+    def test_equilibrium(self, backends, cutoff, monkeypatch):
+        dense, _ = backends
+        inst = Instance(dense.graph, frozenset({3, 40}), frozenset({7}), budget=2)
+        inst.__dict__["solver"] = OpinionSolver(
+            dense.graph, (3, 40), (7,), dense_cutoff=cutoff)
+        solve_equilibrium(inst, {5, 60})
+        monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
+        with pytest.raises(SolverConvergenceError, match="equilibrium residual"):
+            solve_equilibrium(inst, {5, 60})
 
 
 class TestLargeInstances:

@@ -20,6 +20,7 @@ from optarget import (
 from optarget.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
+    StrategyOutcome,
     sample_connected_er,
     sample_sized_tree,
 )
@@ -54,11 +55,36 @@ class TestSeeds:
         assert g.node_count == 70
         assert g.edge_count == 69
 
+    def test_samplers_give_up_after_the_resample_cap(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MAX_RESAMPLE", 3)
+        with pytest.raises(RuntimeError, match=r"no connected G\(20, 0.0\) sample in 3"):
+            sample_connected_er(20, 0.0, 1, "er", 0)
+        with pytest.raises(RuntimeError, match="no size-70 Poisson"):
+            sample_sized_tree(0.01, 70, 1, "tree", 0)
+
+    def test_zero_optimum_redraw_gives_up_after_the_resample_cap(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MAX_RESAMPLE", 2)
+        calls = []
+
+        def zero(inst):
+            calls.append(inst)
+            return StrategyOutcome(frozenset({0}), 0.0, 1, 1)
+
+        monkeypatch.setattr(experiments, "brute_force", zero)
+        cfg = default_config("er-treelike", n=(20,), a=(3.0,), trials=1)
+        with pytest.raises(RuntimeError, match="nonzero optimum"):
+            experiments.run_experiment(cfg)
+        assert len(calls) == 2
+
 
 class TestConfig:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             ExperimentConfig(experiment="nope", n=(10,))
+
+    def test_unknown_experiment_has_no_defaults(self):
+        with pytest.raises(ValueError, match="unknown experiment 'nope'; pick one of"):
+            default_config("nope")
 
     def test_defaults_match_study_scales(self):
         cfg = default_config("er-blocking")

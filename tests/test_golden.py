@@ -1,8 +1,9 @@
 """Golden outputs: small seeded experiments and CLI solves, byte for byte.
 
 The fixtures in ``tests/golden/`` are the CSVs of small seed-7
-configurations, one or more per experiment family (dense backend,
-``wall_time_ms`` column stripped), and the ``optarget solve`` output of
+configurations, one or more per experiment family (``wall_time_ms`` column
+stripped), each on the dense backend and again with the solver forced onto
+the sparse backend (``*-sparse.csv``), and the ``optarget solve`` output of
 every algorithm on one small edge list. A refactor must reproduce them
 exactly. After an intended behaviour change, regenerate them with
 
@@ -10,12 +11,14 @@ exactly. After an intended behaviour change, regenerate them with
 """
 
 import contextlib
+import functools
 import io
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from optarget import cli, experiments
+from optarget import cli, engine, equilibrium, experiments
 
 GOLDEN = Path(__file__).parent / "golden"
 GRAPH = GOLDEN / "graph.txt"
@@ -54,6 +57,19 @@ def experiment_csv(name: str) -> str:
     return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
 
 
+@contextlib.contextmanager
+def forced_sparse():
+    """Every ``Instance.solver`` built inside uses the sparse backend."""
+    sparse = functools.partial(engine.OpinionSolver, dense_cutoff=0)
+    with mock.patch.object(equilibrium, "OpinionSolver", sparse):
+        yield
+
+
+def sparse_experiment_csv(name: str) -> str:
+    with forced_sparse():
+        return experiment_csv(name)
+
+
 def solve_transcript() -> str:
     """Each algorithm's ``optarget solve`` command line and its stdout."""
     parts = []
@@ -77,6 +93,11 @@ def test_experiment_csv_matches_golden(name):
     assert experiment_csv(name) == _fixture(f"{name}.csv")
 
 
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
+def test_sparse_experiment_csv_matches_golden(name):
+    assert sparse_experiment_csv(name) == _fixture(f"{name}-sparse.csv")
+
+
 def test_solve_outputs_match_golden():
     assert solve_transcript() == _fixture("solve.txt")
 
@@ -84,6 +105,8 @@ def test_solve_outputs_match_golden():
 def _write_fixtures() -> None:
     for name in EXPERIMENT_CONFIGS:
         (GOLDEN / f"{name}.csv").write_text(experiment_csv(name), encoding="utf-8")
+        (GOLDEN / f"{name}-sparse.csv").write_text(
+            sparse_experiment_csv(name), encoding="utf-8")
     (GOLDEN / "solve.txt").write_text(solve_transcript(), encoding="utf-8")
 
 

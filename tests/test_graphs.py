@@ -200,6 +200,13 @@ class TestEdgeList:
         with pytest.raises(EdgeListError, match="no edges"):
             load_edge_list(path)
 
+    def test_duplicates_in_any_order_load_the_deduplicated_graph(self, tmp_path):
+        lines = ["0 1", "1 2", "2 3", "0 3", "1 0", "0 1", "3 2", "2 1", "3 0"]
+        order = np.random.default_rng(3).permutation(len(lines))
+        path = tmp_path / "g.txt"
+        path.write_text("".join(lines[i] + "\n" for i in order))
+        assert load_edge_list(path) == Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
     def test_write_read_round_trip(self, tmp_path):
         g = generate_erdos_renyi(25, 0.2, seed=4)
         path = tmp_path / "g.txt"
