@@ -16,13 +16,13 @@ an O(N^3) or sparse factorization done once per base.
 
 Backends: a dense inverse for moderate sizes; above ``DENSE_CUTOFF`` nodes, a
 sparse LU factorization of the symmetric positive definite ``M`` in SuperLU's
-symmetric mode (minimum-degree ordering on ``M + M^T``, diagonal pivots), with
-inverse columns solved on demand and kept in a cache of at most
-``_COL_CACHE_SIZE`` columns. Sparse vector solves take one step of iterative
-refinement. A gain sweep needs the whole diagonal of ``M^-1``; it is computed
-once, in fixed batches of ``_DIAG_CHUNK`` columns, each entry refined by the
-second-order correction ``x_j + x_j^T (e_j - M x_j)``, so a sweep does not
-depend on which evaluations ran before. A residual above
+symmetric mode (minimum-degree ordering on ``M + M^T``, diagonal pivots).
+Sparse solves take one step of iterative refinement; the inverse columns an
+evaluation needs are solved on demand as one block and not kept. A gain
+sweep needs the whole diagonal of ``M^-1``; it is computed once, in fixed
+batches of ``_DIAG_CHUNK`` columns, each entry refined by the second-order
+correction ``x_j + x_j^T (e_j - M x_j)``, so a sweep does not depend on
+which evaluations ran before. A residual above
 ``RESIDUAL_RTOL * max(1, d_max)`` in the base solve, a diagonal batch or a
 returned profile raises :class:`SolverConvergenceError`.
 
@@ -44,7 +44,6 @@ from .graphs import Graph, degrees
 DENSE_CUTOFF = 2000
 RESIDUAL_RTOL = 1e-10
 _DIAG_CHUNK = 256
-_COL_CACHE_SIZE = 64
 
 
 class SolverConvergenceError(RuntimeError):
@@ -85,8 +84,6 @@ class OpinionSolver:
         self.rhs0 = (plus_links - minus_links).astype(np.float64)
         self.anchored = bool(plus_links.any() or minus_links.any())
         self.dense = n <= dense_cutoff
-        self._col_cache: dict[int, np.ndarray] = {}
-        self._gains_cache: tuple[tuple[int, ...], np.ndarray] | None = None
         if not self.anchored:
             # Singular base, but no solve is needed: any plus target drives
             # every opinion to +1, as x = 1 solves (L + e_v e_v^T) x = e_v.
@@ -129,21 +126,13 @@ class OpinionSolver:
     # -- inverse access -------------------------------------------------
 
     def _columns(self, idx: np.ndarray) -> np.ndarray:
-        """``M^-1[:, idx]``; sparse columns are solved one at a time."""
+        """``M^-1[:, idx]``; sparse columns come from one refined block solve
+        of the unit columns, recomputed on every call."""
         if self.dense:
             return self._inv[:, idx]
-        cols = []
-        for v in idx.tolist():
-            col = self._col_cache.pop(v, None)
-            if col is None:
-                e = np.zeros(self.n)
-                e[v] = 1.0
-                col = self._solve(e)
-                if len(self._col_cache) >= _COL_CACHE_SIZE:
-                    del self._col_cache[next(iter(self._col_cache))]
-            self._col_cache[v] = col  # most recently used last
-            cols.append(col)
-        return np.column_stack(cols)
+        eye = np.zeros((self.n, idx.size))
+        eye[idx, np.arange(idx.size)] = 1.0
+        return self._solve(eye)
 
     @cached_property
     def _g0(self) -> np.ndarray:
@@ -209,28 +198,22 @@ class OpinionSolver:
     def gains(self, committed: Sequence[int] = ()) -> np.ndarray:
         """Marginal objective gain of adding each single node to ``committed``.
 
-        Returns a length-N vector; entries at nodes that are already targeted
-        (committed or pre-placed) are meaningless and must be masked by the
-        caller.
+        Returns a fresh length-N vector; entries at nodes that are already
+        targeted (committed or pre-placed) are meaningless and must be masked
+        by the caller.
         """
-        key = tuple(_as_index(committed).tolist())
-        if self._gains_cache is not None and self._gains_cache[0] == key:
-            return self._gains_cache[1]
+        idx = _as_index(committed)
         if not self.anchored:
             # F(empty) is undefined, so the first sweep scores F({v}) = 1
             # itself; once a target is committed nothing more can be gained.
-            gains = np.full(self.n, 0.0 if key else 1.0)
-        else:
-            x, w, g = self._x0, self._w0, self._g0
-            if key:
-                idx = np.asarray(key, dtype=np.int64)
-                z, c, alpha = self._update(idx)
-                x = x + z @ alpha
-                w = w - z @ np.linalg.solve(c, w[idx])
-                g = g - np.einsum("ij,ji->i", z, np.linalg.solve(c, z.T))
-            gains = w * (1.0 - x) / (self.n * (1.0 + g))
-        self._gains_cache = (key, gains)
-        return gains
+            return np.full(self.n, 0.0 if idx.size else 1.0)
+        x, w, g = self._x0, self._w0, self._g0
+        if idx.size:
+            z, c, alpha = self._update(idx)
+            x = x + z @ alpha
+            w = w - z @ np.linalg.solve(c, w[idx])
+            g = g - np.einsum("ij,ji->i", z, np.linalg.solve(c, z.T))
+        return w * (1.0 - x) / (self.n * (1.0 + g))
 
     def residual_norm(self, extra: Sequence[int], x: np.ndarray) -> float:
         """Infinity norm of ``M_A x - s_A`` for the system with extra targets."""

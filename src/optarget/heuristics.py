@@ -6,7 +6,8 @@ bookkeeping), and two instrumentation counters: how many equilibrium
 evaluations the search spent and how many distinct candidate nodes it scored.
 
 Candidate scores that differ by less than ``SCORE_TIE_TOL`` are treated as
-tied and resolved toward the smaller node index. Genuinely distinct objective
+tied and resolved toward the smaller node index (for ``brute_force``, the
+lexicographically smaller sorted tuple). Genuinely distinct objective
 values in the supported instance families differ by far more than solver
 round-off (rational gaps of 1e-8 and up versus noise near 1e-13), so the
 tolerance only collapses exact mathematical ties that floating point would
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .equilibrium import Instance, solve_equilibrium
 from .graphs import degrees, tree_view
@@ -55,12 +55,13 @@ def brute_force(
     Ties resolve to the lexicographically smallest sorted tuple. Raises if the
     number of configurations exceeds ``max_configurations``.
 
-    With budget 1 and at least one strategic attachment, every singleton is
-    scored in one gain sweep, ``F({v}) = F(empty) + gains(())[v]``: the same
-    rank-one update the combination loop applies one set at a time. The
-    empty set and then the singletons are scanned in ascending order, and the
-    counters are those of the loop: ``len(pool) + 1`` evaluations (the empty
-    set included) and ``len(pool)`` visited nodes.
+    Sets are scored by size and, within a size, in the order of
+    ``combinations``: one gain sweep per set S below the budget scores every
+    extension by a larger candidate v, ``F(S + {v}) = F(S) + gains(S)[v]``,
+    the rank-one update of S's own score. The empty set scores
+    ``objective(())``; without any attachment it has no equilibrium, is not
+    counted, and seeds its extensions with 0 (each then scores exactly 1).
+    Every other set counts as one evaluation, and every candidate is visited.
     """
     pool = inst.candidates
     k = inst.budget
@@ -70,26 +71,31 @@ def brute_force(
             f"{total} configurations exceed the cap of {max_configurations}"
         )
     solver = inst.solver
-    if k == 1 and solver.anchored:
+    best = _best_candidate(_scored_sets(solver, pool, k))
+    if best is None:
+        raise ValueError("no strategic attachment: objective undefined")
+    evaluations = total if solver.anchored else total - 1
+    return _finish(inst, best[0], evaluations, len(pool))
+
+
+def _scored_sets(solver, pool: tuple[int, ...], k: int):
+    """Yield every set of at most ``k`` candidates from ``pool`` with its
+    score, by size and in lexicographic order within each size; only the
+    sets of the current size below the budget are kept."""
+    f0 = 0.0
+    if solver.anchored:
         f0 = solver.objective(())
-        gains = solver.gains(())
-        scored = [((), f0)] + [((v,), f0 + gains[v]) for v in pool]
-        return _finish(inst, _best_candidate(scored)[0], len(scored), len(pool))
-    sizes = range(k + 1)
-    if not solver.anchored:
-        sizes = range(1, k + 1)  # the empty set has no equilibrium
-    best_f = -math.inf
-    best: tuple[int, ...] | None = None
-    evaluations = 0
-    for size in sizes:
-        for combo in combinations(pool, size):
-            f = solver.objective(combo)
-            evaluations += 1
-            if best is None or f > best_f + SCORE_TIE_TOL:
-                best, best_f = combo, f
-            elif f >= best_f - SCORE_TIE_TOL and combo < best:
-                best = combo
-    return _finish(inst, best, evaluations, len(pool))
+        yield (), f0
+    level = [((), f0, 0)]  # (set, score, pool position of its first extension)
+    for size in range(1, k + 1):
+        below, level = level, []
+        for s, f, start in below:
+            gains = solver.gains(s)
+            for i in range(start, len(pool)):
+                scored = (s + (pool[i],), f + gains[pool[i]])
+                yield scored
+                if size < k:
+                    level.append((*scored, i + 1))
 
 
 def degree_heuristic(inst: Instance) -> StrategyOutcome:
@@ -104,13 +110,17 @@ def degree_heuristic(inst: Instance) -> StrategyOutcome:
     return _finish(inst, chosen, evaluations=1, visited=0)
 
 
-def _best_candidate(scored) -> tuple[int, float] | None:
-    """Pick the max-score candidate from (node, score) pairs in ascending
-    node order, treating scores within SCORE_TIE_TOL as tied."""
+def _best_candidate(scored):
+    """Pick the max-score candidate from (key, score) pairs, treating scores
+    within SCORE_TIE_TOL as tied: a tie with a smaller key takes the key but
+    keeps the score, so a later candidate must beat that score by more than
+    the tolerance."""
     best = None
-    for v, f in scored:
+    for key, f in scored:
         if best is None or f > best[1] + SCORE_TIE_TOL:
-            best = (v, f)
+            best = (key, f)
+        elif f >= best[1] - SCORE_TIE_TOL and key < best[0]:
+            best = (key, best[1])
     return best
 
 

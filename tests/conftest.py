@@ -4,6 +4,18 @@ import pytest
 from optarget import Graph
 
 
+class CountingLU:
+    """Proxy for a SuperLU factor that counts its ``solve`` calls."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
 def star_graph(leaves: int) -> Graph:
     """Star with center 0 and the given number of leaves."""
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])

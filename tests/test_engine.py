@@ -12,7 +12,7 @@ from optarget import (
     verify_electrical,
 )
 from optarget.engine import OpinionSolver, SolverConvergenceError
-from conftest import random_connected_graph
+from conftest import CountingLU, random_connected_graph
 
 
 @pytest.fixture(scope="module")
@@ -52,22 +52,21 @@ class TestSparseBackendAgreesWithDense:
                 sparse.gains(committed), dense.gains(committed), atol=1e-11
             )
 
+    @pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])
+    def test_gain_sweeps_are_fresh_arrays(self, backends, cutoff):
+        # Writing into one sweep must not change the next sweep of the same
+        # committed set.
+        solver = OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=cutoff)
+        for committed in [(), (5,), (5, 31)]:
+            first = solver.gains(committed)
+            expected = first.copy()
+            first[:] = 5.0
+            assert np.array_equal(solver.gains(committed), expected)
+
     def test_residuals_check_out(self, backends):
         _, sparse = backends
         x = sparse.profile((4, 17))
         assert sparse.residual_norm((4, 17), x) <= sparse.residual_tolerance((4, 17))
-
-
-class CountingLU:
-    """Proxy for a SuperLU factor that counts its ``solve`` calls."""
-
-    def __init__(self, lu):
-        self.lu = lu
-        self.solves = 0
-
-    def solve(self, rhs):
-        self.solves += 1
-        return self.lu.solve(rhs)
 
 
 class TestSparseDiagonalPass:

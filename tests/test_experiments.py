@@ -281,6 +281,14 @@ class TestCli:
         assert self.run("solve", "--graph", str(path), "--minus", "0",
                         "--k-plus", "9", "--algorithm", "brute") == 1
 
+    def test_brute_without_attachment_or_budget_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "line.txt"
+        write_edge_list(generate_line(5), path)
+        assert self.run("solve", "--graph", str(path), "--minus", "", "--k-plus", "0",
+                        "--algorithm", "brute") == 1
+        assert capsys.readouterr().err == (
+            "error: no strategic attachment: objective undefined\n")
+
     def test_bad_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             self.run("experiment", "--experiment", "bogus")

@@ -4,8 +4,9 @@ The fixtures in ``tests/golden/`` are the CSVs of small seed-7
 configurations, one or more per experiment family (``wall_time_ms`` column
 stripped), each on the dense backend and again with the solver forced onto
 the sparse backend (``*-sparse.csv``), and the ``optarget solve`` output of
-every algorithm on one small edge list. A refactor must reproduce them
-exactly. After an intended behaviour change, regenerate them with
+every algorithm on one small edge list, on each backend (``solve.txt`` and
+``solve-sparse.txt``). A refactor must reproduce them exactly. After an
+intended behaviour change, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -102,12 +103,19 @@ def test_solve_outputs_match_golden():
     assert solve_transcript() == _fixture("solve.txt")
 
 
+def test_sparse_solve_outputs_match_golden():
+    with forced_sparse():
+        assert solve_transcript() == _fixture("solve-sparse.txt")
+
+
 def _write_fixtures() -> None:
     for name in EXPERIMENT_CONFIGS:
         (GOLDEN / f"{name}.csv").write_text(experiment_csv(name), encoding="utf-8")
         (GOLDEN / f"{name}-sparse.csv").write_text(
             sparse_experiment_csv(name), encoding="utf-8")
     (GOLDEN / "solve.txt").write_text(solve_transcript(), encoding="utf-8")
+    with forced_sparse():
+        (GOLDEN / "solve-sparse.txt").write_text(solve_transcript(), encoding="utf-8")
 
 
 if __name__ == "__main__":

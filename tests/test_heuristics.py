@@ -23,9 +23,9 @@ from optarget import (
     success,
     tree_descent,
 )
-from optarget.engine import _COL_CACHE_SIZE, DENSE_CUTOFF, OpinionSolver
+from optarget.engine import _DIAG_CHUNK, DENSE_CUTOFF, OpinionSolver
 from optarget.heuristics import SCORE_TIE_TOL
-from conftest import random_connected_graph, random_tree, star_graph
+from conftest import CountingLU, random_connected_graph, random_tree, star_graph
 
 
 def line_instance(n=10, minus=0, budget=1):
@@ -70,13 +70,16 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="cap"):
             brute_force(inst, max_configurations=1000)
 
-    def test_sparse_column_cache_stays_bounded(self, rng):
-        # Budget 2 on 100 nodes touches every column; the sparse backend
-        # keeps at most _COL_CACHE_SIZE of them and still finds the optimum.
+    def test_sparse_budget_two_solves_once_per_sweep(self, rng):
+        # Budget 2 on 100 nodes scores every pair: one diagonal pass, then
+        # one refined column solve (two LU solves) per singleton's sweep and
+        # for the final profile, and still the dense optimum.
         g = random_connected_graph(100, 0.04, rng)
         inst = on_backend(Instance(g, frozenset({3, 50}), budget=2), "sparse")
+        inst.solver._lu = lu = CountingLU(inst.solver._lu)
         out = brute_force(inst)
-        assert len(inst.solver._col_cache) <= _COL_CACHE_SIZE < g.node_count
+        bound = math.ceil(g.node_count / _DIAG_CHUNK) + 2 * (len(inst.candidates) + 1)
+        assert lu.solves <= bound
         expected = brute_force(Instance(g, frozenset({3, 50}), budget=2))
         assert out.chosen_set == expected.chosen_set
         assert out.objective == pytest.approx(expected.objective, abs=1e-12)
@@ -115,8 +118,8 @@ def on_sparse(cls):
 
 
 def combination_loop(inst):
-    """brute_force's combination loop, one objective call per target set:
-    the reference for its budget-1 gain sweep. Returns (best, evaluations)."""
+    """brute_force's former combination loop, one objective call per target
+    set: the reference for its gain sweeps. Returns (best, evaluations)."""
     sizes = range(inst.budget + 1)
     if not (inst.minus_set or inst.plus_base):
         sizes = range(1, inst.budget + 1)
@@ -144,7 +147,8 @@ class TestBruteForceSingleTargetSweep:
         out = brute_force(inst)
         assert out.chosen_set == frozenset(best)
         assert out.objective == solve_equilibrium(inst, best).objective
-        assert out.equilibrium_evaluations == evaluations == len(inst.candidates) + 1
+        assert out.equilibrium_evaluations == evaluations == sum(
+            math.comb(len(inst.candidates), size) for size in range(inst.budget + 1))
         assert out.visited_nodes == len(inst.candidates)
         return out
 
@@ -152,6 +156,21 @@ class TestBruteForceSingleTargetSweep:
         for _ in range(25):
             inst = random_instance(rng, max_n=30, max_budget=1, with_plus=True)
             self.assert_matches_loop(on_backend(inst, backend))
+
+    @pytest.mark.parametrize("budget", [2, 3])
+    def test_random_instances_larger_budgets(self, rng, backend, budget):
+        for _ in range(10):
+            inst = random_instance(rng, max_n=16, with_plus=True)
+            if len(inst.candidates) >= budget:
+                inst = Instance(inst.graph, inst.minus_set, inst.plus_base, budget=budget)
+                self.assert_matches_loop(on_backend(inst, backend))
+
+    @pytest.mark.parametrize("budget", [2, 3])
+    def test_exact_ties_at_larger_budgets(self, backend, budget):
+        # Reflections of the cycle tie many sets exactly.
+        inst = cycle_instance()
+        inst = Instance(inst.graph, inst.minus_set, budget=budget)
+        self.assert_matches_loop(on_backend(inst, backend))
 
     def test_exact_tie_resolves_to_smallest_index(self, backend):
         # On a cycle the reflection swapping the minus node and a target v
@@ -188,6 +207,13 @@ class TestNoAttachment:
             assert out.chosen_set == {0}
             assert out.objective == 1.0
             assert out.equilibrium_evaluations == expected_evaluations
+
+    def test_brute_force_zero_budget(self, rng):
+        # The empty set is the only candidate and it has no equilibrium.
+        g = random_connected_graph(12, 0.3, rng)
+        with pytest.raises(ValueError,
+                           match="no strategic attachment: objective undefined"):
+            brute_force(Instance(g, frozenset(), budget=0))
 
     def test_greedy(self, rng):
         g = random_connected_graph(12, 0.3, rng)
