@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 from . import experiments, heuristics
@@ -55,13 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Targeting solvers for competing-agent opinion networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a graph as an edge-list file",
-                         parents=[], add_help=True)
+    gen = sub.add_parser("generate", help="write a graph as an edge-list file")
     gen.add_argument("--kind", required=True, choices=("er", "complete", "line", "tree"))
     gen.add_argument("--n", type=int, required=True,
                      help="node count (for trees: the node cap)")
     gen.add_argument("--a", type=float, default=None,
-                     help="ER connectivity parameter; edge probability is a*log(n)/n")
+                     help="ER connectivity parameter; edge probability min(1, a*log(n)/n)")
     gen.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="mean offspring count for branching trees")
     gen.add_argument("--seed", type=int, default=0)
@@ -75,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated pre-placed own attachments")
     solve.add_argument("--k-plus", type=int, default=1)
     solve.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
-    solve.add_argument("--seed", type=int, default=0,
-                       help="accepted for interface symmetry; all solvers are deterministic")
 
     exp = sub.add_parser("experiment", help="run a batch experiment, emit CSV")
     exp.add_argument("--experiment", required=True, choices=experiments.EXPERIMENTS)
@@ -98,7 +94,7 @@ def _cmd_generate(args) -> int:
     if args.kind == "er":
         if args.a is None:
             raise ValueError("--kind er needs --a")
-        p = min(1.0, args.a * math.log(args.n) / args.n) if args.n > 1 else 0.0
+        p = experiments.er_edge_probability(args.n, args.a)
         g = generate_erdos_renyi(args.n, p, args.seed)
     elif args.kind == "complete":
         g = generate_complete(args.n)
@@ -128,15 +124,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {}
-    for name, value in (("n", args.n), ("a", args.a), ("lam", args.lam),
-                        ("trials", args.trials), ("k_plus", args.k_plus),
-                        ("minus_count", args.minus_count),
-                        ("edge_p", args.edge_p), ("graph_path", args.graph)):
-        if value is not None:
-            overrides[name] = value
-    cfg = experiments.default_config(args.experiment, seed=args.seed,
-                                     out=args.out, **overrides)
+    overrides = {name: value for name, value in (
+        ("n", args.n), ("a", args.a), ("lam", args.lam), ("trials", args.trials),
+        ("k_plus", args.k_plus), ("minus_count", args.minus_count),
+        ("edge_p", args.edge_p), ("graph_path", args.graph)) if value is not None}
+    cfg = experiments.default_config(args.experiment, seed=args.seed, **overrides)
     if cfg.graph_path:
         g = load_edge_list(cfg.graph_path)
         density = g.edge_count / g.node_count**2
@@ -144,9 +136,9 @@ def _cmd_experiment(args) -> int:
               f"density {density:.3g}", file=sys.stderr)
         cfg = dataclasses.replace(cfg, graph=g)
     rows = experiments.run_experiment(cfg)
-    if cfg.out:
-        experiments.write_csv(rows, cfg.out)
-        print(f"# wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
+    if args.out:
+        experiments.write_csv(rows, args.out)
+        print(f"# wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(experiments.rows_to_csv(rows))
     return EXIT_OK

@@ -10,9 +10,10 @@ every candidate target set is evaluated through low-rank corrections:
 
     x_A = x0 + Z C^-1 (1 - x0[A]),   C = I + (M^-1)[A, A],  Z = M^-1[:, A]
 
-which gives the mean opinion without re-solving. Target-set sweeps (the inner
-loop of every search heuristic) therefore cost O(|A|^3) per evaluation after
-an O(N^3) or sparse factorization done once per base.
+which gives the profile, and the objective as its mean, without re-solving.
+Target-set sweeps (the inner loop of every search heuristic) therefore cost
+O(|A|^3) per evaluation after an O(N^3) or sparse factorization done once
+per base.
 
 Backends: a dense inverse for moderate sizes; above ``DENSE_CUTOFF`` nodes, a
 sparse LU factorization of the symmetric positive definite ``M`` in SuperLU's
@@ -24,7 +25,8 @@ batches of ``_DIAG_CHUNK`` columns, each entry refined by the second-order
 correction ``x_j + x_j^T (e_j - M x_j)``, so a sweep does not depend on
 which evaluations ran before. A residual above
 ``RESIDUAL_RTOL * max(1, d_max)`` in the base solve, a diagonal batch or a
-returned profile raises :class:`SolverConvergenceError`.
+returned profile (every objective is the mean of one) raises
+:class:`SolverConvergenceError`.
 
 With no attachment at all the base is singular, but every nonempty target
 set has the closed-form consensus x = 1, which the solver returns directly.
@@ -117,12 +119,6 @@ class OpinionSolver:
                 f"{what} residual {res:.3e} exceeds tolerance {tol:.3e}"
             )
 
-    @property
-    def base_objective(self) -> float:
-        if not self.anchored:
-            raise ValueError("no strategic attachment: objective undefined")
-        return float(self._x0.sum() / self.n)
-
     # -- inverse access -------------------------------------------------
 
     def _columns(self, idx: np.ndarray) -> np.ndarray:
@@ -167,14 +163,9 @@ class OpinionSolver:
         return z, c, np.linalg.solve(c, 1.0 - self._x0[idx])
 
     def objective(self, extra: Sequence[int] = ()) -> float:
-        """Mean steady-state opinion with ``extra`` additional plus targets."""
-        idx = _as_index(extra)
-        if idx.size == 0:
-            return self.base_objective
-        if not self.anchored:
-            return 1.0
-        _, _, alpha = self._update(idx)
-        return float(self.base_objective + self._w0[idx] @ alpha / self.n)
+        """Mean steady-state opinion with ``extra`` additional plus targets:
+        the mean of :meth:`profile`, under the same residual rule."""
+        return float(self.profile(extra).sum() / self.n)
 
     def profile(self, extra: Sequence[int] = ()) -> np.ndarray:
         """Full steady-state opinion vector for the given extra targets.

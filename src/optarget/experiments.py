@@ -74,7 +74,7 @@ class ExperimentConfig:
     cannot honour is rejected with ``ValueError``:
 
     - ``edge_p`` is the fixed edge probability of treelike-otp (the other ER
-      studies use ``a * log(n) / n``);
+      studies use :func:`er_edge_probability`);
     - ``graph_path``, and ``graph`` (that file already loaded, so it is not
       read again), belong to facebook;
     - the single-target studies (random-trees, er-treelike, facebook) need
@@ -91,7 +91,6 @@ class ExperimentConfig:
     seed: int = 0
     edge_p: float | None = None
     graph_path: str | None = None
-    out: str | None = None
     graph: Graph | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -187,11 +186,17 @@ def sample_sized_tree(lam: float, n: int, master: int, *parts) -> Graph:
             return g
 
 
+def er_edge_probability(n: int, a: float) -> float:
+    """Edge probability ``min(1, a ln(n) / n)`` of the ER families and of
+    ``optarget generate --kind er``."""
+    return min(1.0, a * math.log(n) / n) if n > 1 else 0.0
+
+
 def _er_cells(cfg: ExperimentConfig):
-    """(n, a) grid, n outermost, with edge probability a * log(n) / n."""
+    """(n, a) grid, n outermost, with edge probability ``er_edge_probability``."""
     for n in cfg.n:
         for ai, a in enumerate(cfg.a):
-            yield n, a, None, a * math.log(n) / n, (n, ai)
+            yield n, a, None, er_edge_probability(n, a), (n, ai)
 
 
 def _graph_cells(cfg: ExperimentConfig):

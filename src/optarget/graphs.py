@@ -1,8 +1,8 @@
 """Undirected graphs over regular agents, generators, and tree utilities.
 
 All graphs are simple (no self-loops, no duplicate edges), undirected, with
-unit edge weights and dense 0-indexed node ids. Instances are immutable after
-construction and safe to share across threads.
+unit edge weights and integer node ids 0..n-1 (fractional ids are rejected).
+Instances are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -47,15 +47,22 @@ class Graph:
         if node_count < 1:
             raise ValueError("node_count must be >= 1")
         n = node_count
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                           dtype=np.int64)
-        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raw = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if raw.size and (raw.ndim != 2 or raw.shape[1] != 2):
             raise ValueError("edges must be (u, v) pairs")
-        u, v = pairs.reshape(-1, 2).T
-        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+        raw = raw.reshape(-1, 2)
+        with np.errstate(invalid="ignore"):  # NaN and inf are caught below
+            pairs = raw.astype(np.int64, copy=False)
+        u, v = pairs.T
+        fractional = np.zeros(len(raw), dtype=bool)
+        if raw.dtype.kind in "fO":  # ids the int64 cast changed: fractions, NaN, inf
+            fractional = (pairs != raw).any(axis=1)
+        bad = fractional | (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
         if bad.any():
             i = int(bad.argmax())
             a, b = int(u[i]), int(v[i])
+            if fractional[i]:
+                raise ValueError(f"edge {tuple(raw[i].tolist())} has a non-integer node id")
             if a == b:
                 raise ValueError(f"self-loop on node {a}")
             raise ValueError(f"edge ({a}, {b}) outside [0, {n})")

@@ -105,8 +105,7 @@ def degree_heuristic(inst: Instance) -> StrategyOutcome:
     evaluation is the final scoring of the chosen set.
     """
     deg = degrees(inst.graph)
-    ranked = sorted(inst.candidates, key=lambda v: (-deg[v], v))
-    chosen = ranked[: inst.budget]
+    chosen = sorted(inst.candidates, key=lambda v: (-deg[v], v))[: inst.budget]
     return _finish(inst, chosen, evaluations=1, visited=0)
 
 
@@ -124,31 +123,25 @@ def _best_candidate(scored):
     return best
 
 
-def _greedy_rounds(inst: Instance, committed: list[int], rounds: int) -> int:
-    """Run greedy selection rounds in place; returns evaluations spent."""
-    solver = inst.solver
+def _greedy_from(inst: Instance, committed: list[int]) -> StrategyOutcome:
+    """Greedy rounds from ``committed`` until the budget is spent; the
+    candidates outside the start set count as visited once a round runs."""
+    rounds = inst.budget - len(committed)
+    visited = len(inst.candidates) - len(committed) if rounds > 0 else 0
     evaluations = 0
     for _ in range(rounds):
         taken = set(committed)
         pool = [v for v in inst.candidates if v not in taken]
-        if not pool:
-            break
-        gains = solver.gains(tuple(committed))
+        gains = inst.solver.gains(tuple(committed))
         evaluations += len(pool)
-        pick = _best_candidate((v, gains[v]) for v in pool)
-        committed.append(pick[0])
-    return evaluations
+        committed.append(_best_candidate((v, gains[v]) for v in pool)[0])
+    return _finish(inst, committed, evaluations, visited)
 
 
 def greedy(inst: Instance) -> StrategyOutcome:
     """Budgeted greedy: each round adds the candidate with the best marginal
     objective gain, scanning every remaining candidate."""
-    committed: list[int] = []
-    evaluations = _greedy_rounds(inst, committed, inst.budget)
-    visited = len(inst.candidates)
-    if inst.budget == 0:
-        visited = 0
-    return _finish(inst, committed, evaluations, visited)
+    return _greedy_from(inst, [])
 
 
 def blocking(inst: Instance) -> StrategyOutcome:
@@ -158,21 +151,15 @@ def blocking(inst: Instance) -> StrategyOutcome:
     falls back to plain greedy. When the blockable set itself exceeds the
     budget, the highest-degree blocked nodes are preferred.
     """
-    blockable = sorted(inst.minus_set - inst.plus_base)
-    advantage = len(blockable) - len(inst.plus_base - inst.minus_set)
-    if inst.budget <= advantage:
-        return greedy(inst)
-    if len(blockable) > inst.budget:
-        deg = degrees(inst.graph)
-        blockable = sorted(blockable, key=lambda v: (-deg[v], v))[: inst.budget]
-    committed = sorted(blockable)
-    remaining = inst.budget - len(committed)
-    evaluations = _greedy_rounds(inst, committed, remaining)
-    visited = len(inst.candidates) - len(blockable) if remaining > 0 else 0
-    return _finish(inst, committed, evaluations, visited)
+    blockable = inst.minus_set - inst.plus_base
+    if inst.budget <= len(blockable) - len(inst.plus_base - inst.minus_set):
+        blockable = frozenset()  # no advantage to overcome: plain greedy
+    deg = degrees(inst.graph)
+    blocked = sorted(blockable, key=lambda v: (-deg[v], v))[: inst.budget]
+    return _greedy_from(inst, sorted(blocked))
 
 
-def tree_descent(inst: Instance, v_minus: int | None = None) -> StrategyOutcome:
+def tree_descent(inst: Instance) -> StrategyOutcome:
     """Exact single-target search on a tree by descending improving children.
 
     Starting from the minus attachment as root, children are scanned in
@@ -188,23 +175,20 @@ def tree_descent(inst: Instance, v_minus: int | None = None) -> StrategyOutcome:
     if inst.budget != 1:
         raise ValueError("tree descent solves the single-target problem only")
     root = next(iter(inst.minus_set))
-    if v_minus is not None and int(v_minus) != root:
-        raise ValueError(f"v_minus {v_minus} does not match minus_set {{{root}}}")
     view = tree_view(inst.graph, root)
     gains = inst.solver.gains(())
     current, current_f = root, gains[root]
-    evaluations, visited = 1, 0
+    visited = 0  # every visited child is one evaluation, after the root's
     improved = True
     while improved:
         improved = False
         for child in view.children[current]:
             visited += 1
-            evaluations += 1
             if gains[child] > current_f + SCORE_TIE_TOL:
                 current, current_f = child, gains[child]
                 improved = True
                 break
-    return _finish(inst, [current], evaluations, visited)
+    return _finish(inst, [current], visited + 1, visited)
 
 
 def _climb(inst: Instance, gains, root: int, taken) -> tuple[int, dict, int, int]:

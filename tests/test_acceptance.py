@@ -165,7 +165,7 @@ def test_criterion_03_line_closed_form_and_optimizer():
             cfg = LineConfig(n, ell)
             inst = Instance(g, frozenset({ell - 1}), budget=1)
             gains = inst.solver.gains(())
-            base = inst.solver.base_objective
+            base = inst.solver.objective(())
             best_k, best_f = None, -math.inf
             for k in range(1, n + 1):
                 want = line_objective(cfg, k)

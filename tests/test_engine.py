@@ -27,10 +27,6 @@ def backends():
 
 
 class TestSparseBackendAgreesWithDense:
-    def test_base_objective(self, backends):
-        dense, sparse = backends
-        assert sparse.base_objective == pytest.approx(dense.base_objective, abs=1e-12)
-
     def test_objective_on_sets(self, backends):
         dense, sparse = backends
         for extra in [(), (5,), (0, 11), (2, 50, 90), (3,)]:
@@ -134,6 +130,15 @@ class TestResidualRule:
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(SolverConvergenceError, match="equilibrium residual"):
             solve_equilibrium(inst, {5, 60})
+
+    def test_objective(self, backends, cutoff, monkeypatch):
+        # The objective is the mean of a checked profile, never a value the
+        # residual rule has not seen.
+        solver = OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=cutoff)
+        solver.objective((4,))
+        monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
+        with pytest.raises(SolverConvergenceError, match="equilibrium residual"):
+            solver.objective((4,))
 
 
 class TestLargeInstances:

@@ -1,3 +1,4 @@
+import math
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import optarget.experiments as experiments
 from optarget import (
     derive_seed,
     default_config,
+    generate_complete,
     generate_line,
     load_edge_list,
     rows_to_csv,
@@ -107,6 +109,34 @@ class TestConfig:
         # The CLI cases of this rule are in TestCli; ``graph`` has no flag.
         with pytest.raises(ValueError, match="treelike-otp does not use graph"):
             default_config("treelike-otp", graph=generate_line(5))
+
+
+class TestErEdgeProbability:
+    def test_one_rule_capped_at_one(self):
+        assert experiments.er_edge_probability(400, 6.0) == 6.0 * math.log(400) / 400
+        assert experiments.er_edge_probability(20, 10.0) == 1.0
+        assert experiments.er_edge_probability(1, 3.0) == 0.0
+
+    def test_dense_cell_runs_on_the_complete_graph(self, monkeypatch):
+        # a * ln(n) / n = 1.498 for n = 20, a = 10: the family used to pass it
+        # to the generator uncapped, which rejected it.
+        drawn = []
+        sample = experiments.sample_connected_er
+
+        def record(*args):
+            drawn.append(sample(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(experiments, "sample_connected_er", record)
+        rows = run_experiment(default_config("er-blocking", n=(20,), a=(10.0,), trials=1))
+        assert [r.algorithm for r in rows] == ["degree", "greedy", "blocking"]
+        assert drawn[0] == generate_complete(20)
+
+    def test_cli_generate_uses_the_same_rule(self, tmp_path):
+        path = tmp_path / "er.txt"
+        assert cli.main(["generate", "--kind", "er", "--n", "20", "--a", "10",
+                         "--out", str(path)]) == 0
+        assert load_edge_list(path) == generate_complete(20)
 
 
 class TestRunners:

@@ -36,6 +36,23 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="outside"):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("edge", [(0, 1.7), (0.5, 2), (0, math.nan), (0, math.inf)])
+    def test_rejects_non_integer_ids(self, edge):
+        # int64 casting used to truncate them: (0, 1.7) became (0, 1).
+        with pytest.raises(ValueError, match="non-integer node id"):
+            Graph(3, [edge, (1, 2)])
+
+    def test_integral_float_ids_are_accepted(self):
+        assert Graph(3, [(0.0, 1.0), (1, 2)]).edges == ((0, 1), (1, 2))
+
+    def test_first_bad_edge_is_reported(self):
+        with pytest.raises(ValueError, match="self-loop on node 1"):
+            Graph(3, [(1, 1), (0, 1.5)])
+        with pytest.raises(ValueError, match="non-integer"):
+            Graph(3, [(0, 1.5), (1, 1), (0, 3)])
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) outside"):
+            Graph(3, [(0, 3), (0, 1.5)])
+
     def test_deduplicates_reversed_edges(self):
         g = Graph(3, [(0, 1), (1, 0), (2, 1)])
         assert g.edge_count == 2

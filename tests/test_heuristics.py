@@ -359,10 +359,6 @@ class TestTreeDescent:
         with pytest.raises(ValueError):
             tree_descent(inst)
 
-    def test_mismatched_root_hint_rejected(self, backend):
-        with pytest.raises(ValueError):
-            tree_descent(on_backend(line_instance(), backend), v_minus=3)
-
     def test_exact_on_random_trees(self, rng, backend):
         for trial in range(40):
             g = generate_poisson_tree(3.0, max_nodes=80, seed=trial)
