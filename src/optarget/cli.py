@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     except (EdgeListError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, NotATreeError) as exc:
+    except (ValueError, NotATreeError, experiments.ResampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

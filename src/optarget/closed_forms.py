@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import TreeView, path_between
+from .graphs import TreeView
 
 
 @dataclass(frozen=True)
@@ -137,17 +137,19 @@ def tree_path_objective(t: TreeView, k: int) -> float:
 
     Every node off the path from the root to k short-circuits to its nearest
     path node, so the objective is the voltage-divider value along the path
-    weighted by the hanging subtree sizes.
+    weighted by the hanging subtree sizes. Summed by parts this is
+
+        F({k}) = 2 P(k) / (n (depth(k) + 2)) - 1,
+
+    where P(k) sums the subtree sizes of the path nodes, root and k included;
+    the ratio is of integers, so k equal to the root gives exactly 0.
     """
-    if not (0 <= k < t.graph.node_count):
+    n = t.graph.node_count
+    if not (0 <= k < n):
         raise ValueError("k out of range")
-    path = path_between(t, t.root, k)
-    m = len(path)
-    total = 0.0
-    for i, node in enumerate(path, start=1):
-        if i < m:
-            weight = t.subtree_size[node] - t.subtree_size[path[i]]
-        else:
-            weight = t.subtree_size[node]
-        total += weight * (2.0 * i / (m + 1) - 1.0)
-    return total / t.graph.node_count
+    path_sizes = t.subtree_size[k]
+    v = k
+    while v != t.root:
+        v = t.parent[v]
+        path_sizes += t.subtree_size[v]
+    return 2 * path_sizes / (n * (t.depth[k] + 2)) - 1

@@ -52,6 +52,11 @@ class SolverConvergenceError(RuntimeError):
     """The linear solver failed to reach the required residual tolerance."""
 
 
+def mean_opinion(x: np.ndarray) -> float:
+    """The objective: the mean of a steady-state opinion profile."""
+    return float(x.sum() / x.size)
+
+
 def _as_index(nodes: Sequence[int]) -> np.ndarray:
     return np.asarray(sorted(int(v) for v in nodes), dtype=np.int64)
 
@@ -165,7 +170,7 @@ class OpinionSolver:
     def objective(self, extra: Sequence[int] = ()) -> float:
         """Mean steady-state opinion with ``extra`` additional plus targets:
         the mean of :meth:`profile`, under the same residual rule."""
-        return float(self.profile(extra).sum() / self.n)
+        return mean_opinion(self.profile(extra))
 
     def profile(self, extra: Sequence[int] = ()) -> np.ndarray:
         """Full steady-state opinion vector for the given extra targets.

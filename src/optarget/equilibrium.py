@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .engine import OpinionSolver, SolverConvergenceError
+from .engine import OpinionSolver, SolverConvergenceError, mean_opinion
 from .graphs import Graph, is_connected
 
 __all__ = [
@@ -109,11 +109,7 @@ def solve_equilibrium(inst: Instance, extra: Iterable[int] = ()) -> EquilibriumP
     """
     targets = inst.check_extra(extra)
     x = inst.solver.profile(tuple(targets))
-    return EquilibriumProfile(
-        opinions=x,
-        objective=float(x.sum() / inst.graph.node_count),
-        target_set=targets,
-    )
+    return EquilibriumProfile(opinions=x, objective=mean_opinion(x), target_set=targets)
 
 
 def objective(inst: Instance, extra: Iterable[int] = ()) -> float:
@@ -152,18 +148,14 @@ def _augmented_laplacian(inst: Instance, targets: frozenset[int]) -> sp.csc_matr
     return lap.tocsc()
 
 
-def verify_electrical(
-    inst: Instance,
-    extra: Iterable[int],
-    profile: EquilibriumProfile,
-    atol: float = ELECTRICAL_ATOL,
-) -> bool:
+def verify_electrical(inst: Instance, extra: Iterable[int],
+                      profile: EquilibriumProfile) -> bool:
     """Check opinions against node voltages of the equivalent resistor network.
 
     The two strategic agents become fixed potential sources at +1 and -1, every
     link a unit conductance. Voltages of the regular nodes are the solution of
     the fixed-potential problem (zero net current at every regular node); the
-    check passes iff they match the profile entrywise within ``atol``.
+    check passes iff they match the profile entrywise within ``ELECTRICAL_ATOL``.
     """
     lap = _augmented_laplacian(inst, inst.check_extra(extra))
     n = inst.graph.node_count
@@ -173,4 +165,4 @@ def verify_electrical(
         voltages = np.linalg.solve(lap[:n, :n].toarray(), rhs)
     else:
         voltages = spla.spsolve(lap[:n, :n], rhs)
-    return bool(np.abs(voltages - profile.opinions).max() <= atol)
+    return bool(np.abs(voltages - profile.opinions).max() <= ELECTRICAL_ATOL)

@@ -46,6 +46,11 @@ CSV_COLUMNS = (
 
 _MAX_RESAMPLE = 10_000
 
+
+class ResampleError(RuntimeError):
+    """Raised when a resampling loop rejected all ``_MAX_RESAMPLE`` draws."""
+
+
 # Algorithm label (the CSV ``algorithm`` column, ``optarget solve
 # --algorithm``) -> the solver's name in this module, looked up at call time.
 SOLVERS = {
@@ -164,9 +169,9 @@ def _timed(fn: Callable[[Instance], StrategyOutcome], inst: Instance):
 
 def _attempts(error: str):
     """Attempt numbers 0, 1, ... for a resampling loop; raises
-    ``RuntimeError(error)`` once ``_MAX_RESAMPLE`` draws were all rejected."""
+    ``ResampleError(error)`` once ``_MAX_RESAMPLE`` draws were all rejected."""
     yield from range(_MAX_RESAMPLE)
-    raise RuntimeError(error)
+    raise ResampleError(error)
 
 
 def sample_connected_er(n: int, p: float, master: int, *parts) -> Graph:

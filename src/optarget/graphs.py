@@ -19,10 +19,6 @@ class NotATreeError(ValueError):
     """Raised when a tree-only operation is applied to a non-tree graph."""
 
 
-class DegenerateTreeError(ValueError):
-    """Raised when a sampled branching tree is smaller than required."""
-
-
 class EdgeListError(ValueError):
     """Raised on malformed or empty edge-list files."""
 
@@ -210,21 +206,18 @@ def generate_line(n: int) -> Graph:
     return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
-def generate_poisson_tree(
-    lam: float, max_nodes: int, seed: int, min_nodes: int = 1
-) -> Graph:
+def generate_poisson_tree(lam: float, max_nodes: int, seed: int) -> Graph:
     """Grow a Galton-Watson tree with Poisson(lam) offspring counts.
 
     Nodes are created in breadth-first order starting from a single root, so
     every parent id is smaller than its children's ids. Growth halts
-    mid-generation once ``max_nodes`` nodes exist.
+    mid-generation once ``max_nodes`` nodes exist; a process that dies out
+    first returns a smaller tree.
 
     Args:
         lam: Mean offspring count, > 0.
         max_nodes: Hard cap on the number of nodes.
         seed: RNG seed; the result is deterministic for a fixed seed.
-        min_nodes: Raise DegenerateTreeError if the process dies before
-            reaching this size, so callers can resample.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
@@ -243,10 +236,6 @@ def generate_poisson_tree(
             count += 1
             edges.append((u, v))
             queue.append(v)
-    if count < min_nodes:
-        raise DegenerateTreeError(
-            f"branching process died with {count} nodes (< {min_nodes})"
-        )
     return Graph(count, edges)
 
 
@@ -313,28 +302,3 @@ def tree_view(g: Graph, root: int) -> TreeView:
     """Root a tree graph at ``root``; raises NotATreeError otherwise."""
     return TreeView(g, root)
 
-
-def path_between(t: TreeView, u: int, v: int) -> list[int]:
-    """The unique simple path from u to v, endpoints included."""
-    n = t.graph.node_count
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError("node id out of range")
-    a, b = u, v
-    left, right = [a], [b]
-    while t.depth[a] > t.depth[b]:
-        a = t.parent[a]
-        left.append(a)
-    while t.depth[b] > t.depth[a]:
-        b = t.parent[b]
-        right.append(b)
-    while a != b:
-        a = t.parent[a]
-        b = t.parent[b]
-        left.append(a)
-        right.append(b)
-    return left + right[:-1][::-1]
-
-
-def offspring(t: TreeView, k: int) -> list[int]:
-    """Children of k in the rooted view, ascending order."""
-    return list(t.children[k])

@@ -47,13 +47,11 @@ def _finish(inst: Instance, chosen, evaluations: int, visited: int) -> StrategyO
     )
 
 
-def brute_force(
-    inst: Instance, max_configurations: int = MAX_BRUTE_FORCE_CONFIGURATIONS
-) -> StrategyOutcome:
+def brute_force(inst: Instance) -> StrategyOutcome:
     """Exact maximizer over all target sets within budget.
 
     Ties resolve to the lexicographically smallest sorted tuple. Raises if the
-    number of configurations exceeds ``max_configurations``.
+    number of configurations exceeds ``MAX_BRUTE_FORCE_CONFIGURATIONS``.
 
     Sets are scored by size and, within a size, in the order of
     ``combinations``: one gain sweep per set S below the budget scores every
@@ -66,9 +64,9 @@ def brute_force(
     pool = inst.candidates
     k = inst.budget
     total = sum(math.comb(len(pool), size) for size in range(k + 1))
-    if total > max_configurations:
+    if total > MAX_BRUTE_FORCE_CONFIGURATIONS:
         raise ValueError(
-            f"{total} configurations exceed the cap of {max_configurations}"
+            f"{total} configurations exceed the cap of {MAX_BRUTE_FORCE_CONFIGURATIONS}"
         )
     solver = inst.solver
     best = _best_candidate(_scored_sets(solver, pool, k))

@@ -202,6 +202,6 @@ class TestTreePathObjective:
             t = tree_view(g, root)
             inst = Instance(g, frozenset({root}), budget=1)
             assert tree_path_objective(t, k) == pytest.approx(
-                objective(inst, {k}), abs=1e-9
+                objective(inst, {k}), abs=1e-12
             )
             checked += 1

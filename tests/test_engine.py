@@ -59,6 +59,14 @@ class TestSparseBackendAgreesWithDense:
             first[:] = 5.0
             assert np.array_equal(solver.gains(committed), expected)
 
+    @pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])
+    def test_solve_equilibrium_objective_is_the_solver_objective(self, backends, cutoff):
+        g = backends[0].graph
+        inst = Instance(g, frozenset({3, 40}), frozenset({7}), budget=3)
+        inst.__dict__["solver"] = OpinionSolver(g, (3, 40), (7,), dense_cutoff=cutoff)
+        for extra in [(), (5,), (0, 11), (2, 50, 90)]:
+            assert solve_equilibrium(inst, extra).objective == inst.solver.objective(extra)
+
     def test_residuals_check_out(self, backends):
         _, sparse = backends
         x = sparse.profile((4, 17))

@@ -319,6 +319,13 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: no strategic attachment: objective undefined\n")
 
+    def test_resample_exhaustion_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "_MAX_RESAMPLE", 3)
+        assert self.run("experiment", "--experiment", "random-trees", "--lambda", "0.5",
+                        "--n", "400", "--trials", "1") == 1
+        assert capsys.readouterr().err == (
+            "error: no size-400 Poisson(0.5) tree in 3 draws\n")
+
     def test_bad_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             self.run("experiment", "--experiment", "bogus")

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optarget import (
-    DegenerateTreeError,
     EdgeListError,
     Graph,
     NotATreeError,
@@ -18,8 +17,6 @@ from optarget import (
     generate_poisson_tree,
     is_connected,
     load_edge_list,
-    offspring,
-    path_between,
     tree_view,
     write_edge_list,
 )
@@ -139,10 +136,6 @@ class TestPoissonTree:
     def test_tiny_rate_dies_at_the_root(self):
         sizes = [generate_poisson_tree(1e-9, 50, seed).node_count for seed in range(50)]
         assert sizes == [1] * 50
-
-    def test_min_nodes_raises_on_extinction(self):
-        with pytest.raises(DegenerateTreeError):
-            generate_poisson_tree(1e-9, 50, seed=0, min_nodes=2)
 
     def test_same_seed_same_tree(self):
         a = generate_poisson_tree(3.0, 200, seed=5)
@@ -283,43 +276,6 @@ class TestTreeView:
                 t.subtree_size[c] for c in t.children[v]
             )
         assert t.subtree_size[root] == n
-
-
-class TestPaths:
-    def test_line_end_to_end(self):
-        t = tree_view(generate_line(5), root=0)
-        assert path_between(t, 0, 4) == [0, 1, 2, 3, 4]
-
-    def test_single_node_path(self):
-        t = tree_view(generate_line(5), root=0)
-        assert path_between(t, 2, 2) == [2]
-
-    def test_star_leaf_to_leaf(self):
-        t = tree_view(star_graph(4), root=0)
-        assert path_between(t, 1, 3) == [1, 0, 3]
-
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(2, 40), seed=st.integers(0, 10_000), data=st.data())
-    def test_path_reversal(self, n, seed, data):
-        rng = np.random.default_rng(seed)
-        t = tree_view(random_tree(n, rng), root=0)
-        u = data.draw(st.integers(0, n - 1))
-        v = data.draw(st.integers(0, n - 1))
-        assert path_between(t, u, v) == path_between(t, v, u)[::-1]
-
-
-class TestOffspring:
-    def test_line_interior(self):
-        t = tree_view(generate_line(5), root=0)
-        assert offspring(t, 2) == [3]
-
-    def test_leaf_has_none(self):
-        t = tree_view(generate_line(5), root=0)
-        assert offspring(t, 4) == []
-
-    def test_star_center(self):
-        t = tree_view(star_graph(4), root=0)
-        assert offspring(t, 0) == [1, 2, 3, 4]
 
 
 def _raw_edges(n, m, rng):

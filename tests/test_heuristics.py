@@ -22,6 +22,7 @@ from optarget import (
     solve_equilibrium,
     success,
     tree_descent,
+    tree_view,
 )
 from optarget.engine import _DIAG_CHUNK, DENSE_CUTOFF, OpinionSolver
 from optarget.heuristics import SCORE_TIE_TOL
@@ -66,9 +67,11 @@ class TestBruteForce:
         assert out.objective == pytest.approx(-1.0, abs=1e-12)
 
     def test_configuration_cap(self):
-        inst = Instance(generate_complete(30), frozenset({0}), budget=5)
-        with pytest.raises(ValueError, match="cap"):
-            brute_force(inst, max_configurations=1000)
+        # 4.6 M sets of at most 6 of 40 nodes: rejected before factorizing.
+        inst = Instance(generate_complete(40), frozenset({0}), budget=6)
+        with pytest.raises(ValueError, match="cap of 2000000"):
+            brute_force(inst)
+        assert "solver" not in inst.__dict__
 
     def test_sparse_budget_two_solves_once_per_sweep(self, rng):
         # Budget 2 on 100 nodes scores every pair: one diagonal pass, then
@@ -380,11 +383,13 @@ class TestTreeDescent:
             root = int(rng.integers(0, n))
             inst = on_backend(Instance(g, frozenset({root}), budget=1), backend)
             gains = inst.solver.gains(())
-            from optarget import tree_view, path_between
             t = tree_view(g, root)
             leaves = [v for v in range(n) if not t.children[v]]
             for leaf in leaves:
-                scores = [gains[v] for v in path_between(t, root, leaf)]
+                branch = [leaf]
+                while branch[-1] != root:
+                    branch.append(t.parent[branch[-1]])
+                scores = [gains[v] for v in reversed(branch)]
                 dropped = False
                 for a, b in zip(scores, scores[1:]):
                     if b < a - 1e-12:
@@ -399,7 +404,6 @@ class TestTreeDescent:
             root = int(rng.integers(0, n))
             inst = on_backend(Instance(g, frozenset({root}), budget=1), backend)
             gains = inst.solver.gains(())
-            from optarget import tree_view
             t = tree_view(g, root)
             for v in range(n):
                 improving = [c for c in t.children[v]
