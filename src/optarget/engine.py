@@ -15,18 +15,16 @@ Target-set sweeps (the inner loop of every search heuristic) therefore cost
 O(|A|^3) per evaluation after an O(N^3) or sparse factorization done once
 per base.
 
-Backends: a dense inverse for moderate sizes; above ``DENSE_CUTOFF`` nodes, a
-sparse LU factorization of the symmetric positive definite ``M`` in SuperLU's
-symmetric mode (minimum-degree ordering on ``M + M^T``, diagonal pivots).
-Sparse solves take one step of iterative refinement; the inverse columns an
-evaluation needs are solved on demand as one block and not kept. A gain
-sweep needs the whole diagonal of ``M^-1``; it is computed once, in fixed
-batches of ``_DIAG_CHUNK`` columns, each entry refined by the second-order
-correction ``x_j + x_j^T (e_j - M x_j)``, so a sweep does not depend on
-which evaluations ran before. A residual above
-``RESIDUAL_RTOL * max(1, d_max)`` in the base solve, a diagonal batch or a
-returned profile (every objective is the mean of one) raises
-:class:`SolverConvergenceError`.
+Backends: ``M^-1`` is one object: up to ``DENSE_CUTOFF`` nodes the dense
+inverse, above it a :class:`_RefinedLU` over a sparse LU of the SPD ``M`` in
+SuperLU's symmetric mode (minimum-degree ordering on ``M + M^T``, diagonal
+pivots). Its ``@`` is a solve with one refinement step, ``[:, idx]`` one such
+block solve of unit columns, not kept, and ``.diagonal()`` (for gain sweeps)
+one pass in fixed batches of ``_DIAG_CHUNK`` columns, each entry refined by
+``x_j + x_j^T (e_j - M x_j)``, so a sweep does not depend on which
+evaluations ran before. A residual above ``RESIDUAL_RTOL * max(1, d_max)``
+in the base solve, a diagonal batch or a returned profile (every objective is
+the mean of one) raises :class:`SolverConvergenceError`.
 
 With no attachment at all the base is singular, but every nonempty target
 set has the closed-form consensus x = 1, which the solver returns directly.
@@ -72,6 +70,56 @@ def _splu_spd(m) -> spla.SuperLU:
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
+def _tolerance(d_max: float) -> float:
+    """The residual rule's bound; ``RESIDUAL_RTOL`` is read at each call."""
+    return RESIDUAL_RTOL * max(1.0, d_max)
+
+
+def _check(res: float, tol: float, what: str) -> None:
+    if not res <= tol:
+        raise SolverConvergenceError(
+            f"{what} residual {res:.3e} exceeds tolerance {tol:.3e}"
+        )
+
+
+class _RefinedLU:
+    """``M^-1`` of a sparse SPD ``M`` as far as the solver uses it: ``@``,
+    ``[:, idx]`` and ``.diagonal()``. One step of iterative refinement keeps
+    large sparse solves near machine precision, which downstream 1e-12
+    cross-checks rely on. Only ``solve`` is read from the factor."""
+
+    def __init__(self, m, apply_m):
+        self._lu = _splu_spd(m)
+        self._apply_m = apply_m
+        self._n = m.shape[0]
+        self._d_max = float(m.diagonal().max())
+
+    def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
+        x = self._lu.solve(rhs)
+        return x + self._lu.solve(rhs - self._apply_m(x))
+
+    def __getitem__(self, key) -> np.ndarray:
+        _, idx = key  # [:, idx], recomputed on every call
+        eye = np.zeros((self._n, idx.size))
+        eye[idx, np.arange(idx.size)] = 1.0
+        return self @ eye
+
+    def diagonal(self) -> np.ndarray:
+        # Fixed chunks, so the result does not depend on earlier calls. Each
+        # entry gets the scalar form of one refinement step: since M is
+        # symmetric, e_j^T M^-1 r_j = x_j^T r_j for the column x_j and its
+        # residual r_j, which is second-order accurate like the full step at
+        # the cost of one sparse product instead of a second n-column solve.
+        parts = []
+        for start in range(0, self._n, _DIAG_CHUNK):
+            eye = np.eye(self._n, min(_DIAG_CHUNK, self._n - start), k=-start)
+            cols = self._lu.solve(eye)
+            res = eye - self._apply_m(cols)
+            _check(float(np.abs(res).max()), _tolerance(self._d_max), "diagonal solve")
+            parts.append(cols.diagonal(-start) + np.einsum("ij,ij->j", cols, res))
+        return np.concatenate(parts)
+
+
 class OpinionSolver:
     """Evaluator for one fixed base: graph + minus set + pre-placed plus set.
 
@@ -95,75 +143,27 @@ class OpinionSolver:
             # Singular base, but no solve is needed: any plus target drives
             # every opinion to +1, as x = 1 solves (L + e_v e_v^T) x = e_v.
             return
-        if self.dense:
-            self._inv = np.linalg.inv(np.diag(self.base_diag) - self._adj.toarray())
-            self._x0 = self._inv @ self.rhs0
-            self._w0 = self._inv.sum(axis=1)
-        else:
-            self._lu = _splu_spd(sp.diags(self.base_diag) - self._adj)
-            self._x0 = self._solve(self.rhs0)
-            self._w0 = self._solve(np.ones(n))
-        self._check(self.residual_norm((), self._x0), (), "base solve")
-
-    # -- base solve bookkeeping ----------------------------------------
+        # M in its backend's format: a sparse M costs more than a small dense inverse.
+        self._inv = (np.linalg.inv(np.diag(self.base_diag) - self._adj.toarray()) if self.dense
+                     else _RefinedLU(sp.diags(self.base_diag) - self._adj, self._apply_base))
+        self._x0 = self._inv @ self.rhs0
+        self._w0 = self._inv @ np.ones(n)
+        _check(self.residual_norm((), self._x0), self.residual_tolerance(()), "base solve")
 
     def _apply_base(self, x: np.ndarray) -> np.ndarray:
         """``M x`` for a vector or a block of columns."""
         return (self.base_diag * x.T).T - self._adj @ x
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        # One step of iterative refinement keeps large sparse solves near
-        # machine precision, which downstream 1e-12 cross-checks rely on.
-        x = self._lu.solve(rhs)
-        return x + self._lu.solve(rhs - self._apply_base(x))
-
-    def _check(self, res: float, extra: Sequence[int], what: str) -> None:
-        tol = self.residual_tolerance(extra)
-        if not res <= tol:
-            raise SolverConvergenceError(
-                f"{what} residual {res:.3e} exceeds tolerance {tol:.3e}"
-            )
-
-    # -- inverse access -------------------------------------------------
-
-    def _columns(self, idx: np.ndarray) -> np.ndarray:
-        """``M^-1[:, idx]``; sparse columns come from one refined block solve
-        of the unit columns, recomputed on every call."""
-        if self.dense:
-            return self._inv[:, idx]
-        eye = np.zeros((self.n, idx.size))
-        eye[idx, np.arange(idx.size)] = 1.0
-        return self._solve(eye)
-
     @cached_property
     def _g0(self) -> np.ndarray:
         """``diag(M^-1)``, computed for every node on the first gain sweep."""
-        if self.dense:
-            return np.diag(self._inv).copy()
-        # Fixed chunks, so the result does not depend on earlier calls. Each
-        # entry gets the scalar form of one refinement step: since M is
-        # symmetric, e_j^T M^-1 r_j = x_j^T r_j for the column x_j and its
-        # residual r_j, which is second-order accurate like the full step at
-        # the cost of one sparse product instead of a second n-column solve.
-        g0 = np.empty(self.n)
-        for start in range(0, self.n, _DIAG_CHUNK):
-            chunk = np.arange(start, min(start + _DIAG_CHUNK, self.n))
-            at = (chunk, np.arange(chunk.size))
-            eye = np.zeros((self.n, chunk.size))
-            eye[at] = 1.0
-            cols = self._lu.solve(eye)
-            res = eye - self._apply_base(cols)
-            self._check(float(np.abs(res).max()), (), "diagonal solve")
-            g0[chunk] = cols[at] + np.einsum("ij,ij->j", cols, res)
-        return g0
-
-    # -- evaluation -----------------------------------------------------
+        return self._inv.diagonal()
 
     def _update(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Woodbury pieces for the extra targets ``idx``: the columns
         ``Z = M^-1[:, idx]``, the capacitance matrix ``C = I + Z[idx]`` and
         ``C^-1 (1 - x0[idx])``."""
-        z = self._columns(idx)
+        z = self._inv[:, idx]
         c = np.eye(idx.size) + z[idx, :]
         return z, c, np.linalg.solve(c, 1.0 - self._x0[idx])
 
@@ -188,7 +188,7 @@ class OpinionSolver:
         else:
             z, _, alpha = self._update(idx)
             x = self._x0 + z @ alpha
-        self._check(self.residual_norm(idx, x), idx, "equilibrium")
+        _check(self.residual_norm(idx, x), self.residual_tolerance(idx), "equilibrium")
         return x
 
     def gains(self, committed: Sequence[int] = ()) -> np.ndarray:
@@ -223,4 +223,4 @@ class OpinionSolver:
         dmax = float(self.base_diag.max())
         if idx.size:
             dmax = max(dmax, float(self.base_diag[idx].max()) + 1.0)
-        return RESIDUAL_RTOL * max(1.0, dmax)
+        return _tolerance(dmax)

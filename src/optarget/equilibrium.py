@@ -24,8 +24,6 @@ __all__ = [
     "EquilibriumProfile",
     "SolverConvergenceError",
     "solve_equilibrium",
-    "objective",
-    "marginal_gain",
     "verify_electrical",
 ]
 
@@ -110,19 +108,6 @@ def solve_equilibrium(inst: Instance, extra: Iterable[int] = ()) -> EquilibriumP
     targets = inst.check_extra(extra)
     x = inst.solver.profile(tuple(targets))
     return EquilibriumProfile(opinions=x, objective=mean_opinion(x), target_set=targets)
-
-
-def objective(inst: Instance, extra: Iterable[int] = ()) -> float:
-    """Mean steady-state opinion for the given extra target set."""
-    return solve_equilibrium(inst, extra).objective
-
-
-def marginal_gain(inst: Instance, targets: Iterable[int], v: int) -> float:
-    """Objective increase from adding node v to an existing target set."""
-    base = inst.check_extra(targets)
-    if v in base:
-        raise ValueError(f"node {v} is already targeted")
-    return objective(inst, base | {v}) - objective(inst, base)
 
 
 def _augmented_laplacian(inst: Instance, targets: frozenset[int]) -> sp.csc_matrix:

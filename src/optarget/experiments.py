@@ -102,6 +102,8 @@ class ExperimentConfig:
         fam = _family(self.experiment)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.minus_count < 0:
+            raise ValueError("minus_count must be >= 0")
         for name in ("edge_p", "graph_path", "graph"):
             if getattr(self, name) is not None and name not in fam.uses:
                 raise ValueError(f"{self.experiment} does not use {name}")
@@ -312,6 +314,9 @@ def _draw(cfg: ExperimentConfig, fam: _Family, n: int, x, parts: tuple):
     the reference took (``None, 0.0`` without one). Seed parts are
     ``(experiment, *parts)``, plus the redraw attempt where the family needs
     a nonzero optimum."""
+    if cfg.minus_count > n:
+        raise ValueError(f"minus_count {cfg.minus_count} exceeds the {n} nodes "
+                         f"of the {cfg.experiment} graph")
     error = "could not sample an instance with a nonzero optimum"
     attempts = ((i,) for i in _attempts(error)) if fam.nonzero_optimum else [()]
     for attempt in attempts:

@@ -40,7 +40,6 @@ from optarget import (
     line_objective,
     line_optimal_k,
     load_edge_list,
-    objective,
     rows_to_csv,
     run_experiment,
     solve_equilibrium,
@@ -148,7 +147,7 @@ def test_criterion_02_complete_graph_optimizer():
                 ids = sorted(inst.candidates)
                 free_ids = [v for v in ids if v >= p0 + q0 + r0][:p1]
                 minus_only = [v for v in ids if p0 <= v < p0 + q0][:r1]
-                achieved = objective(inst, free_ids + minus_only)
+                achieved = solve_equilibrium(inst, free_ids + minus_only).objective
                 worst = max(worst, abs(achieved - exact.objective))
                 count += 1
     _report(worst <= 1e-12, "criterion 2 (complete-graph optimizer)",
@@ -342,7 +341,7 @@ def test_greedy_guarantee_normalized_companion():
         if f_star <= 0:
             continue
         checked += 1
-        f_empty = objective(inst, ())
+        f_empty = solve_equilibrium(inst, ()).objective
         want = f_empty + factor * (f_star - f_empty)
         if greedy(inst).objective < want - 1e-9:
             violations += 1

@@ -14,7 +14,6 @@ from optarget import (
     generate_poisson_tree,
     line_objective,
     line_optimal_k,
-    objective,
     solve_equilibrium,
     tree_path_objective,
     tree_view,
@@ -102,7 +101,7 @@ class TestCompleteOtp:
                         continue
                     inst = complete_instance(n, p0, q0, r0, budget=k)
                     best = max(
-                        objective(inst, combo)
+                        solve_equilibrium(inst, combo).objective
                         for combo in itertools.combinations(inst.candidates, k)
                     )
                     _, _, f = complete_otp(n, p0, q0, r0, k)
@@ -132,7 +131,7 @@ class TestLineObjective:
                 inst = Instance(g, frozenset({ell - 1}), budget=1)
                 for k in range(1, n + 1):
                     want = line_objective(LineConfig(n, ell), k)
-                    assert objective(inst, {k - 1}) == pytest.approx(
+                    assert solve_equilibrium(inst, {k - 1}).objective == pytest.approx(
                         want, abs=1e-9
                     ), (n, ell, k)
 
@@ -202,6 +201,6 @@ class TestTreePathObjective:
             t = tree_view(g, root)
             inst = Instance(g, frozenset({root}), budget=1)
             assert tree_path_objective(t, k) == pytest.approx(
-                objective(inst, {k}), abs=1e-12
+                solve_equilibrium(inst, {k}).objective, abs=1e-12
             )
             checked += 1

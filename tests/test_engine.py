@@ -26,6 +26,27 @@ def backends():
     return dense, sparse
 
 
+class TestBackendChoice:
+    """The dense inverse up to ``dense_cutoff`` nodes, the sparse LU above."""
+
+    @pytest.fixture
+    def graph(self):
+        return random_connected_graph(40, 0.1, np.random.default_rng(3))
+
+    def test_dense_at_the_cutoff(self, graph):
+        solver = OpinionSolver(graph, (3,), (7,), dense_cutoff=graph.node_count)
+        assert solver.dense and isinstance(solver._inv, np.ndarray)
+
+    def test_sparse_one_above_the_cutoff(self, graph):
+        solver = OpinionSolver(graph, (3,), (7,), dense_cutoff=graph.node_count - 1)
+        assert not solver.dense and isinstance(solver._inv, engine._RefinedLU)
+
+    @pytest.mark.parametrize("below", [0, 1], ids=["dense", "sparse"])
+    def test_unanchored_builds_neither(self, graph, below):
+        solver = OpinionSolver(graph, (), (), dense_cutoff=graph.node_count - below)
+        assert "_inv" not in vars(solver)
+
+
 class TestSparseBackendAgreesWithDense:
     def test_objective_on_sets(self, backends):
         dense, sparse = backends
@@ -89,17 +110,17 @@ class TestSparseDiagonalPass:
         # every column, the diagonal pass it replaces.
         sparse.gains(())
         eye = np.eye(sparse.n)
-        cols = sparse._lu.solve(eye)
-        cols += sparse._lu.solve(eye - (sparse.base_diag[:, None] * cols
-                                        - sparse._adj @ cols))
+        cols = sparse._inv._lu.solve(eye)
+        cols += sparse._inv._lu.solve(eye - (sparse.base_diag[:, None] * cols
+                                             - sparse._adj @ cols))
         np.testing.assert_allclose(sparse._g0, np.diag(cols), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("chunk", [engine._DIAG_CHUNK, 32])
     def test_one_solve_per_chunk(self, sparse, monkeypatch, chunk):
         monkeypatch.setattr(engine, "_DIAG_CHUNK", chunk)
-        sparse._lu = CountingLU(sparse._lu)
+        sparse._inv._lu = CountingLU(sparse._inv._lu)
         sparse.gains(())
-        assert sparse._lu.solves == math.ceil(sparse.n / chunk)
+        assert sparse._inv._lu.solves == math.ceil(sparse.n / chunk)
 
     def test_residual_over_tolerance_raises(self, sparse, monkeypatch):
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)

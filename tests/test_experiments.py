@@ -110,6 +110,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="treelike-otp does not use graph"):
             default_config("treelike-otp", graph=generate_line(5))
 
+    def test_negative_minus_count_rejected(self):
+        with pytest.raises(ValueError, match="minus_count must be >= 0"):
+            default_config("er-blocking", minus_count=-1)
+
 
 class TestErEdgeProbability:
     def test_one_rule_capped_at_one(self):
@@ -208,6 +212,17 @@ class TestRunners:
         rows = run_experiment(cfg)
         assert len(rows) == 4
         assert {r.algorithm for r in rows} == {"climb", "brute"}
+
+    @pytest.mark.parametrize("experiment, extra", [
+        ("er-blocking", dict(n=(20,), a=(3.0,))),
+        ("facebook", dict(graph_path="edges.txt", graph=generate_line(20))),
+    ], ids=["er-blocking", "facebook"])
+    def test_minus_count_above_n_rejected(self, experiment, extra):
+        # Accepted by the config, whose grid may hold larger cells; the
+        # trial draw rejects it for the cell (or loaded graph) at hand.
+        cfg = default_config(experiment, trials=1, minus_count=21, **extra)
+        with pytest.raises(ValueError, match="minus_count 21 exceeds the 20 nodes"):
+            run_experiment(cfg)
 
     def test_rerun_reproduces_everything_but_wall_time(self):
         cfg = default_config("er-treelike", n=(35,), a=(3.0,), trials=2, seed=4)
@@ -318,6 +333,15 @@ class TestCli:
                         "--algorithm", "brute") == 1
         assert capsys.readouterr().err == (
             "error: no strategic attachment: objective undefined\n")
+
+    @pytest.mark.parametrize("count, message", [
+        ("25", "error: minus_count 25 exceeds the 20 nodes of the er-blocking graph\n"),
+        ("-1", "error: minus_count must be >= 0\n"),
+    ])
+    def test_out_of_range_minus_count_is_usage_error(self, count, message, capsys):
+        assert self.run("experiment", "--experiment", "er-blocking", "--n", "20",
+                        "--a", "3", "--trials", "1", "--minus-count", count) == 1
+        assert capsys.readouterr().err == message
 
     def test_resample_exhaustion_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setattr(experiments, "_MAX_RESAMPLE", 3)

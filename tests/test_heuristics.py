@@ -18,7 +18,6 @@ from optarget import (
     greedy,
     hill_climb,
     hill_climb_multi,
-    objective,
     solve_equilibrium,
     success,
     tree_descent,
@@ -79,7 +78,7 @@ class TestBruteForce:
         # for the final profile, and still the dense optimum.
         g = random_connected_graph(100, 0.04, rng)
         inst = on_backend(Instance(g, frozenset({3, 50}), budget=2), "sparse")
-        inst.solver._lu = lu = CountingLU(inst.solver._lu)
+        inst.solver._inv._lu = lu = CountingLU(inst.solver._inv._lu)
         out = brute_force(inst)
         bound = math.ceil(g.node_count / _DIAG_CHUNK) + 2 * (len(inst.candidates) + 1)
         assert lu.solves <= bound
