@@ -18,13 +18,25 @@ per base.
 Backends: ``M^-1`` is one object: up to ``DENSE_CUTOFF`` nodes the dense
 inverse, above it a :class:`_RefinedLU` over a sparse LU of the SPD ``M`` in
 SuperLU's symmetric mode (minimum-degree ordering on ``M + M^T``, diagonal
-pivots). Its ``@`` is a solve with one refinement step, ``[:, idx]`` one such
-block solve of unit columns, not kept, and ``.diagonal()`` (for gain sweeps)
-one pass in fixed batches of ``_DIAG_CHUNK`` columns, each entry refined by
-``x_j + x_j^T (e_j - M x_j)``, so a sweep does not depend on which
-evaluations ran before. A residual above ``RESIDUAL_RTOL * max(1, d_max)``
-in the base solve, a diagonal batch or a returned profile (every objective is
-the mean of one) raises :class:`SolverConvergenceError`.
+pivots), which is ``P M P^T = L D L^T``. Its ``@`` is a solve with one
+refinement step and ``[:, idx]`` one such block solve of unit columns, not
+kept. ``.diagonal()`` (for gain sweeps) is selected inversion on the factor
+(Takahashi, Fagan & Chin 1973): ``Z = (L D L^T)^-1`` is computed only on the
+pattern of ``L``, from the last column backward, by
+
+    Z[s, j] = -Z[s, s] L[s, j],   Z[j, j] = 1/d_j - L[s, j]^T Z[s, j]
+
+for the below-diagonal pattern ``s`` of column j, whose entries the chordal
+fill pattern guarantees are already known. The trailing columns that form a
+dense lower triangle are inverted in one LAPACK step (``dtrtri``, scaling by
+``D^-1/2``, ``dlauum``). A fixed probe of ``_DIAG_PROBE`` refined unit-column
+solves, for the nodes eliminated first (which the recurrence reaches last),
+must agree with the selected entries, so a bad factor still raises. A sweep
+reads only the factor, so it does not depend on which evaluations ran before.
+A residual above ``RESIDUAL_RTOL * max(1, d_max)`` in the base solve, the
+diagonal probe or a returned profile (every objective is the mean of one), a
+probe that disagrees by more, unequal row and column permutations, or a pivot
+``d_j <= 0`` raises :class:`SolverConvergenceError`.
 
 With no attachment at all the base is singular, but every nonempty target
 set has the closed-form consensus x = 1, which the solver returns directly.
@@ -38,12 +50,16 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .graphs import Graph, degrees
 
 DENSE_CUTOFF = 2000
 RESIDUAL_RTOL = 1e-10
-_DIAG_CHUNK = 256
+_DIAG_PROBE = 32
+# Head columns per product with the dense tail, which bounds that scratch to
+# this many rows of the tail's width.
+_TAIL_BLOCK = 256
 
 
 class SolverConvergenceError(RuntimeError):
@@ -55,8 +71,21 @@ def mean_opinion(x: np.ndarray) -> float:
     return float(x.sum() / x.size)
 
 
-def _as_index(nodes: Sequence[int]) -> np.ndarray:
-    return np.asarray(sorted(int(v) for v in nodes), dtype=np.int64)
+def _as_index(nodes: Sequence[int], n: int) -> np.ndarray:
+    """Sorted node ids; each must lie in ``[0, n)`` and appear once."""
+    ids = sorted(int(v) for v in nodes)
+    if ids and not (0 <= ids[0] and ids[-1] < n):
+        raise ValueError(f"node ids must lie in [0, {n}): got {ids}")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"node ids must not repeat: got {ids}")
+    return np.asarray(ids, dtype=np.int64)
+
+
+def _unit_columns(n: int, idx: np.ndarray) -> np.ndarray:
+    """The columns ``e_v`` of the n x n identity for the nodes ``idx``."""
+    eye = np.zeros((n, idx.size))
+    eye[idx, np.arange(idx.size)] = 1.0
+    return eye
 
 
 def _splu_spd(m) -> spla.SuperLU:
@@ -82,17 +111,61 @@ def _check(res: float, tol: float, what: str) -> None:
         )
 
 
+def _selected_diagonal(l, d: np.ndarray) -> np.ndarray:
+    """``diag((L D L^T)^-1)`` in elimination order, for a unit lower-triangular
+    CSC ``L`` with a chordal (filled) pattern and a positive ``d``.
+
+    ``Z`` is kept on the pattern of the head columns, one value per stored
+    entry of ``L``, plus the dense tail; no n x n array is formed. Sorts the
+    indices of ``l`` in place.
+    """
+    l.sort_indices()
+    n = d.size
+    ptr, rows, vals = l.indptr, l.indices, l.data
+    sparse_cols = np.flatnonzero(np.diff(ptr) != n - np.arange(n))
+    t = int(sparse_cols[-1]) + 1 if sparse_cols.size else 0
+    # Dense tail: Z[t:, t:] = (L_t D_t L_t^T)^-1 = V^T V with V = D_t^-1/2 L_t^-1.
+    v, _ = lapack.dtrtri(l[t:, t:].toarray(order="F"), lower=1, unitdiag=1, overwrite_c=1)
+    v /= np.sqrt(d[t:])[:, None]
+    z_tail, _ = lapack.dlauum(v, lower=1, overwrite_c=1)
+    z_tail += np.tril(z_tail, -1).T
+    # Head: z[e] is Z at the stored entry e of L; an entry (r, c) has key c n + r.
+    z = np.empty(ptr[t])
+    keys = np.repeat(np.arange(t) * n, np.diff(ptr[:t + 1])) + rows[:ptr[t]]
+    head_to_tail = l[t:, :t]
+    ptr = ptr.tolist()
+    for stop in range(t, 0, -_TAIL_BLOCK):
+        start = max(0, stop - _TAIL_BLOCK)
+        # Row j - start: Z[tail, tail] @ L[tail, j].
+        tail_part = head_to_tail[:, start:stop].T @ z_tail
+        for j in range(stop - 1, start - 1, -1):
+            lo, hi = ptr[j] + 1, ptr[j + 1]
+            s, lj = rows[lo:hi], vals[lo:hi]
+            h = int(np.searchsorted(s, t))
+            # y = Z[s, s] @ L[s, j]; its tail rows start from Z[tail, tail].
+            y = tail_part[j - start, s[h:] - t]
+            if h:
+                # Rows of Z[s, s] at the head nodes of s, read from their columns.
+                zh = z[np.searchsorted(keys, np.minimum.outer(s[:h], s) * n
+                                       + np.maximum.outer(s[:h], s))]
+                y = np.concatenate((zh @ lj, y + lj[:h] @ zh[:, h:]))
+            z[lo:hi] = -y
+            z[ptr[j]] = 1.0 / d[j] + lj @ y
+    return np.concatenate((z[ptr[:t]], z_tail.diagonal()))
+
+
 class _RefinedLU:
     """``M^-1`` of a sparse SPD ``M`` as far as the solver uses it: ``@``,
     ``[:, idx]`` and ``.diagonal()``. One step of iterative refinement keeps
     large sparse solves near machine precision, which downstream 1e-12
-    cross-checks rely on. Only ``solve`` is read from the factor."""
+    cross-checks rely on. The factor is read through ``solve``, ``L``, ``U``,
+    ``perm_r`` and ``perm_c``."""
 
-    def __init__(self, m, apply_m):
+    def __init__(self, m, apply_m, d_max: float):
         self._lu = _splu_spd(m)
         self._apply_m = apply_m
         self._n = m.shape[0]
-        self._d_max = float(m.diagonal().max())
+        self._d_max = d_max
 
     def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
         x = self._lu.solve(rhs)
@@ -100,24 +173,32 @@ class _RefinedLU:
 
     def __getitem__(self, key) -> np.ndarray:
         _, idx = key  # [:, idx], recomputed on every call
-        eye = np.zeros((self._n, idx.size))
-        eye[idx, np.arange(idx.size)] = 1.0
-        return self @ eye
+        return self @ _unit_columns(self._n, idx)
 
     def diagonal(self) -> np.ndarray:
-        # Fixed chunks, so the result does not depend on earlier calls. Each
-        # entry gets the scalar form of one refinement step: since M is
+        lu = self._lu
+        perm = lu.perm_c
+        if not np.array_equal(lu.perm_r, perm):
+            raise SolverConvergenceError(
+                "sparse factor is not symmetric: row and column permutations differ")
+        d = lu.U.diagonal()
+        if not d.min() > 0.0:
+            raise SolverConvergenceError(
+                f"sparse factor of an SPD matrix has a pivot d = {d.min():.3e} <= 0")
+        diag = _selected_diagonal(lu.L, d)[perm]
+        # Probe: refined unit-column solves for the nodes eliminated first.
+        # Each entry gets the scalar form of one refinement step: since M is
         # symmetric, e_j^T M^-1 r_j = x_j^T r_j for the column x_j and its
-        # residual r_j, which is second-order accurate like the full step at
-        # the cost of one sparse product instead of a second n-column solve.
-        parts = []
-        for start in range(0, self._n, _DIAG_CHUNK):
-            eye = np.eye(self._n, min(_DIAG_CHUNK, self._n - start), k=-start)
-            cols = self._lu.solve(eye)
-            res = eye - self._apply_m(cols)
-            _check(float(np.abs(res).max()), _tolerance(self._d_max), "diagonal solve")
-            parts.append(cols.diagonal(-start) + np.einsum("ij,ij->j", cols, res))
-        return np.concatenate(parts)
+        # residual r_j, which is second-order accurate like the full step.
+        probe = np.flatnonzero(perm < _DIAG_PROBE)
+        eye = _unit_columns(self._n, probe)
+        cols = lu.solve(eye)
+        res = eye - self._apply_m(cols)
+        tol = _tolerance(self._d_max)
+        _check(float(np.abs(res).max()), tol, "diagonal solve")
+        refined = cols[probe, np.arange(probe.size)] + np.einsum("ij,ij->j", cols, res)
+        _check(float(np.abs(refined - diag[probe]).max()), tol, "selected inversion probe")
+        return diag
 
 
 class OpinionSolver:
@@ -133,9 +214,10 @@ class OpinionSolver:
         self.graph = graph
         self.n = n
         self._adj = graph.adjacency_csr()
-        plus_links = np.bincount(_as_index(plus_base), minlength=n)
-        minus_links = np.bincount(_as_index(minus), minlength=n)
+        plus_links = np.bincount(_as_index(plus_base, n), minlength=n)
+        minus_links = np.bincount(_as_index(minus, n), minlength=n)
         self.base_diag = (degrees(graph) + plus_links + minus_links).astype(np.float64)
+        self._d_max = float(self.base_diag.max())
         self.rhs0 = (plus_links - minus_links).astype(np.float64)
         self.anchored = bool(plus_links.any() or minus_links.any())
         self.dense = n <= dense_cutoff
@@ -145,10 +227,13 @@ class OpinionSolver:
             return
         # M in its backend's format: a sparse M costs more than a small dense inverse.
         self._inv = (np.linalg.inv(np.diag(self.base_diag) - self._adj.toarray()) if self.dense
-                     else _RefinedLU(sp.diags(self.base_diag) - self._adj, self._apply_base))
+                     else _RefinedLU(sp.diags(self.base_diag) - self._adj, self._apply_base,
+                                     self._d_max))
         self._x0 = self._inv @ self.rhs0
         self._w0 = self._inv @ np.ones(n)
-        _check(self.residual_norm((), self._x0), self.residual_tolerance(()), "base solve")
+        no_extra = _as_index((), n)
+        _check(self._residual_norm(no_extra, self._x0), self._residual_tolerance(no_extra),
+               "base solve")
 
     def _apply_base(self, x: np.ndarray) -> np.ndarray:
         """``M x`` for a vector or a block of columns."""
@@ -178,7 +263,7 @@ class OpinionSolver:
         Raises :class:`SolverConvergenceError` if it misses the balance
         equations by more than :meth:`residual_tolerance`.
         """
-        idx = _as_index(extra)
+        idx = _as_index(extra, self.n)
         if not self.anchored:
             if idx.size == 0:
                 raise ValueError("no strategic attachment: profile undefined")
@@ -188,7 +273,7 @@ class OpinionSolver:
         else:
             z, _, alpha = self._update(idx)
             x = self._x0 + z @ alpha
-        _check(self.residual_norm(idx, x), self.residual_tolerance(idx), "equilibrium")
+        _check(self._residual_norm(idx, x), self._residual_tolerance(idx), "equilibrium")
         return x
 
     def gains(self, committed: Sequence[int] = ()) -> np.ndarray:
@@ -198,7 +283,7 @@ class OpinionSolver:
         targeted (committed or pre-placed) are meaningless and must be masked
         by the caller.
         """
-        idx = _as_index(committed)
+        idx = _as_index(committed, self.n)
         if not self.anchored:
             # F(empty) is undefined, so the first sweep scores F({v}) = 1
             # itself; once a target is committed nothing more can be gained.
@@ -213,14 +298,18 @@ class OpinionSolver:
 
     def residual_norm(self, extra: Sequence[int], x: np.ndarray) -> float:
         """Infinity norm of ``M_A x - s_A`` for the system with extra targets."""
-        idx = _as_index(extra)
+        return self._residual_norm(_as_index(extra, self.n), x)
+
+    def residual_tolerance(self, extra: Sequence[int]) -> float:
+        return self._residual_tolerance(_as_index(extra, self.n))
+
+    def _residual_norm(self, idx: np.ndarray, x: np.ndarray) -> float:
         res = self._apply_base(x) - self.rhs0
         res[idx] += x[idx] - 1.0
         return float(np.abs(res).max())
 
-    def residual_tolerance(self, extra: Sequence[int]) -> float:
-        idx = _as_index(extra)
-        dmax = float(self.base_diag.max())
+    def _residual_tolerance(self, idx: np.ndarray) -> float:
+        d_max = self._d_max
         if idx.size:
-            dmax = max(dmax, float(self.base_diag[idx].max()) + 1.0)
-        return _tolerance(dmax)
+            d_max = max(d_max, float(self.base_diag[idx].max()) + 1.0)
+        return _tolerance(d_max)

@@ -5,7 +5,8 @@ from optarget import Graph
 
 
 class CountingLU:
-    """Proxy for a SuperLU factor that counts its ``solve`` calls."""
+    """Proxy for a SuperLU factor that counts its ``solve`` calls and passes
+    every other attribute (``L``, ``U``, ``perm_r``, ``perm_c``) through."""
 
     def __init__(self, lu):
         self.lu = lu
@@ -14,6 +15,9 @@ class CountingLU:
     def solve(self, rhs):
         self.solves += 1
         return self.lu.solve(rhs)
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
 
 
 def star_graph(leaves: int) -> Graph:

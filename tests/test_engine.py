@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from optarget import engine
 from optarget import (
@@ -9,10 +10,20 @@ from optarget import (
     generate_erdos_renyi,
     generate_line,
     solve_equilibrium,
+    tree_path_objective,
+    tree_view,
     verify_electrical,
 )
 from optarget.engine import OpinionSolver, SolverConvergenceError
-from conftest import CountingLU, random_connected_graph
+from conftest import CountingLU, random_connected_graph, random_tree
+
+
+class TamperedLU(CountingLU):
+    """A factor proxy with some of its attributes replaced."""
+
+    def __init__(self, lu, **attrs):
+        super().__init__(lu)
+        self.__dict__.update(attrs)
 
 
 @pytest.fixture(scope="module")
@@ -115,12 +126,36 @@ class TestSparseDiagonalPass:
                                              - sparse._adj @ cols))
         np.testing.assert_allclose(sparse._g0, np.diag(cols), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("chunk", [engine._DIAG_CHUNK, 32])
-    def test_one_solve_per_chunk(self, sparse, monkeypatch, chunk):
-        monkeypatch.setattr(engine, "_DIAG_CHUNK", chunk)
-        sparse._inv._lu = CountingLU(sparse._inv._lu)
-        sparse.gains(())
-        assert sparse._inv._lu.solves == math.ceil(sparse.n / chunk)
+    def test_first_sweep_solves_only_the_probe(self):
+        # Selected inversion reads the factor itself; the one LU solve is the
+        # block of probe columns, however many nodes there are.
+        g = random_connected_graph(600, 0.01, np.random.default_rng(6))
+        solver = OpinionSolver(g, (3, 40), (7,), dense_cutoff=0)
+        solver._inv._lu = lu = CountingLU(solver._inv._lu)
+        solver.gains(())
+        assert lu.solves == 1
+
+    def test_unequal_permutations_raise(self, sparse):
+        lu = sparse._inv._lu
+        sparse._inv._lu = TamperedLU(lu, perm_c=lu.perm_c[::-1].copy())
+        with pytest.raises(SolverConvergenceError, match="permutations differ"):
+            sparse.gains(())
+
+    def test_non_positive_pivot_raises(self, sparse):
+        lu = sparse._inv._lu
+        flip = np.zeros(sparse.n)
+        flip[sparse.n // 2] = 2.0 * lu.U.diagonal()[sparse.n // 2]
+        sparse._inv._lu = TamperedLU(lu, U=lu.U - sp.diags(flip))
+        with pytest.raises(SolverConvergenceError, match="pivot"):
+            sparse.gains(())
+
+    def test_wrong_factor_fails_the_probe(self, sparse):
+        # Pivots that are positive but wrong give a wrong selected diagonal,
+        # which the refined probe columns do not confirm.
+        lu = sparse._inv._lu
+        sparse._inv._lu = TamperedLU(lu, U=1.5 * lu.U)
+        with pytest.raises(SolverConvergenceError, match="selected inversion probe"):
+            sparse.gains(())
 
     def test_residual_over_tolerance_raises(self, sparse, monkeypatch):
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
@@ -137,6 +172,27 @@ class TestSparseDiagonalPass:
         for extra in [(5,), (77,), (150,)]:
             used.profile(extra)
         assert np.array_equal(used.gains(()), fresh.gains(()))
+
+
+@pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])
+class TestTargetIds:
+    """Ids outside ``[0, n)`` or repeated are rejected, not scored."""
+
+    @pytest.fixture
+    def solver(self, backends, cutoff):
+        return OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=cutoff)
+
+    @pytest.mark.parametrize("extra", [(-1,), (120,), (5, 5)],
+                             ids=["negative", "n", "repeated"])
+    def test_evaluations_reject(self, solver, extra):
+        for call in (solver.objective, solver.profile, solver.gains):
+            with pytest.raises(ValueError, match="node ids"):
+                call(extra)
+
+    @pytest.mark.parametrize("minus", [(120,), (3, 3)], ids=["n", "repeated"])
+    def test_base_rejects(self, backends, cutoff, minus):
+        with pytest.raises(ValueError, match="node ids"):
+            OpinionSolver(backends[0].graph, minus, (7,), dense_cutoff=cutoff)
 
 
 @pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])
@@ -171,6 +227,17 @@ class TestResidualRule:
 
 
 class TestLargeInstances:
+    def test_ten_thousand_node_tree_sweep_matches_closed_form(self):
+        # One sparse gain sweep over a 10^4-node tree scores every single
+        # target: F({v}) = F(empty) + gains(())[v], against the path formula.
+        n = 10_000
+        g = random_tree(n, np.random.default_rng(10_000))
+        solver = OpinionSolver(g, (0,), (), dense_cutoff=0)
+        scores = solver.objective(()) + solver.gains(())
+        t = tree_view(g, 0)
+        expected = [tree_path_objective(t, v) for v in range(n)]
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
     def test_long_line_uses_sparse_solver_end_to_end(self):
         # 2600 nodes is beyond the dense cutoff, so this covers the sparse
         # factorization inside the equilibrium API and the sparse branch of

@@ -23,7 +23,7 @@ from optarget import (
     tree_descent,
     tree_view,
 )
-from optarget.engine import _DIAG_CHUNK, DENSE_CUTOFF, OpinionSolver
+from optarget.engine import DENSE_CUTOFF, OpinionSolver
 from optarget.heuristics import SCORE_TIE_TOL
 from conftest import CountingLU, random_connected_graph, random_tree, star_graph
 
@@ -73,14 +73,15 @@ class TestBruteForce:
         assert "solver" not in inst.__dict__
 
     def test_sparse_budget_two_solves_once_per_sweep(self, rng):
-        # Budget 2 on 100 nodes scores every pair: one diagonal pass, then
-        # one refined column solve (two LU solves) per singleton's sweep and
-        # for the final profile, and still the dense optimum.
+        # Budget 2 on 100 nodes scores every pair: one probe solve for the
+        # diagonal, then one refined column solve (two LU solves) per
+        # singleton's sweep and for the final profile, and still the dense
+        # optimum.
         g = random_connected_graph(100, 0.04, rng)
         inst = on_backend(Instance(g, frozenset({3, 50}), budget=2), "sparse")
         inst.solver._inv._lu = lu = CountingLU(inst.solver._inv._lu)
         out = brute_force(inst)
-        bound = math.ceil(g.node_count / _DIAG_CHUNK) + 2 * (len(inst.candidates) + 1)
+        bound = 1 + 2 * (len(inst.candidates) + 1)
         assert lu.solves <= bound
         expected = brute_force(Instance(g, frozenset({3, 50}), budget=2))
         assert out.chosen_set == expected.chosen_set
