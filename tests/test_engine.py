@@ -135,6 +135,22 @@ class TestSparseDiagonalPass:
         solver.gains(())
         assert lu.solves == 1
 
+    @pytest.mark.parametrize("chunk", [256, 32])
+    def test_one_solve_per_chunk(self, sparse, monkeypatch, chunk):
+        # The refined probe is one block of min(chunk, n) unit columns, solved
+        # at once, whether or not it covers every node.
+        monkeypatch.setattr(engine, "_DIAG_PROBE", chunk)
+        widths = []
+
+        class WidthLU(CountingLU):
+            def solve(self, rhs):
+                widths.append(rhs.shape[1])
+                return super().solve(rhs)
+
+        sparse._inv._lu = WidthLU(sparse._inv._lu)
+        sparse.gains(())
+        assert widths == [min(chunk, sparse.n)]
+
     def test_unequal_permutations_raise(self, sparse):
         lu = sparse._inv._lu
         sparse._inv._lu = TamperedLU(lu, perm_c=lu.perm_c[::-1].copy())
