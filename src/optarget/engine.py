@@ -10,13 +10,27 @@ every candidate target set is evaluated through low-rank corrections:
 
     x_A = x0 + Z C^-1 (1 - x0[A]),   C = I + (M^-1)[A, A],  Z = M^-1[:, A]
 
-which gives the profile, and the objective as its mean, without re-solving.
+which gives the profile without re-solving (``C`` is factored once per call,
+by one LAPACK ``dgesv`` for all of its right-hand sides).
 Target-set sweeps (the inner loop of every search heuristic) therefore cost
 O(|A|^3) per evaluation after an O(N^3) or sparse factorization done once
 per base.
 
+The objective is the profile's mean after one step of iterative refinement,
+taken at the cost of a dot product: with the residual ``r = s_A - M_A x``
+computed once in ``np.longdouble`` (it also feeds the residual rule) and
+``w_A = M_A^-1 1 = w0 - Z C^-1 w0[A]``, the vector a gain sweep forms anyway,
+
+    F = (fsum(x) + w_A^T r) / n,
+
+since ``1^T M_A^-1 r = w_A^T r`` for the symmetric ``M_A``. Its error is of
+the second order in the solver's, so its printed digits do not depend on the
+backend or on how ``M`` was factorized.
+
 Backends: ``M^-1`` is one object: up to ``DENSE_CUTOFF`` nodes the dense
-inverse, above it a :class:`_RefinedLU` over a sparse LU of the SPD ``M`` in
+inverse by LAPACK Cholesky (``dpotrf``, then ``dpotri``, mirrored from the
+upper triangle), with ``M`` assembled, factored and inverted in one n x n
+array; above it a :class:`_RefinedLU` over a sparse LU of the SPD ``M`` in
 SuperLU's symmetric mode (minimum-degree ordering on ``M + M^T``, diagonal
 pivots), which is ``P M P^T = L D L^T``. Its ``@`` is a solve with one
 refinement step and ``[:, idx]`` one such block solve of unit columns, not
@@ -34,9 +48,10 @@ solves, for the nodes eliminated first (which the recurrence reaches last),
 must agree with the selected entries, so a bad factor still raises. A sweep
 reads only the factor, so it does not depend on which evaluations ran before.
 A residual above ``RESIDUAL_RTOL * max(1, d_max)`` in the base solve, the
-diagonal probe or a returned profile (every objective is the mean of one), a
-probe that disagrees by more, unequal row and column permutations, or a pivot
-``d_j <= 0`` raises :class:`SolverConvergenceError`.
+diagonal probe or a returned profile (every objective is computed from one),
+a probe that disagrees by more, unequal row and column permutations, a pivot
+``d_j <= 0`` or a failed dense Cholesky step raises
+:class:`SolverConvergenceError`.
 
 With no attachment at all the base is singular, but every nonempty target
 set has the closed-form consensus x = 1, which the solver returns directly.
@@ -44,6 +59,7 @@ set has the closed-form consensus x = 1, which the solver returns directly.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Sequence
 
@@ -66,11 +82,6 @@ class SolverConvergenceError(RuntimeError):
     """The linear solver failed to reach the required residual tolerance."""
 
 
-def mean_opinion(x: np.ndarray) -> float:
-    """The objective: the mean of a steady-state opinion profile."""
-    return float(x.sum() / x.size)
-
-
 def _as_index(nodes: Sequence[int], n: int) -> np.ndarray:
     """Sorted node ids; each must lie in ``[0, n)`` and appear once."""
     ids = sorted(int(v) for v in nodes)
@@ -86,6 +97,39 @@ def _unit_columns(n: int, idx: np.ndarray) -> np.ndarray:
     eye = np.zeros((n, idx.size))
     eye[idx, np.arange(idx.size)] = 1.0
     return eye
+
+
+def _solve_small(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``a^-1 rhs`` for a small dense ``a``: one LU factorization with
+    partial pivoting for all columns of ``rhs`` (LAPACK ``dgesv``).
+
+    The capacitance matrix is SPD, but a 1 x 1 LU solves ``c x = c`` exactly
+    where Cholesky divides twice by ``sqrt(c)``: a single target on the only
+    minus node then gives the exact profile 0 and an objective of exactly 0."""
+    _, _, x, info = lapack.dgesv(a, rhs)
+    if info != 0:
+        raise SolverConvergenceError(f"capacitance matrix is singular (dgesv info {info})")
+    return x
+
+
+def _dense_inverse(adj, d: np.ndarray) -> np.ndarray:
+    """``M^-1`` for ``M = diag(d) - adj`` through its Cholesky factor (LAPACK
+    ``dpotrf``, then ``dpotri``). M is assembled, factored and inverted in one
+    n x n array: M is symmetric, so its transpose is the Fortran-ordered
+    matrix that LAPACK overwrites."""
+    m = adj.toarray()
+    np.subtract(0.0, m, out=m)  # -adj without -0.0 entries
+    m.ravel()[::m.shape[0] + 1] = d
+    c, info = lapack.dpotrf(m.T, overwrite_a=1)
+    if info == 0:
+        inv, info = lapack.dpotri(c, overwrite_c=1)
+    if info != 0:
+        raise SolverConvergenceError(f"dense Cholesky inverse of M failed (LAPACK info {info})")
+    # dpotri fills the upper triangle and dpotrf zeroed the lower one, so
+    # adding the transpose mirrors it and doubles the diagonal exactly.
+    inv += inv.T
+    inv.ravel(order="F")[::inv.shape[0] + 1] *= 0.5
+    return inv
 
 
 def _splu_spd(m) -> spla.SuperLU:
@@ -219,6 +263,7 @@ class OpinionSolver:
         self.base_diag = (degrees(graph) + plus_links + minus_links).astype(np.float64)
         self._d_max = float(self.base_diag.max())
         self.rhs0 = (plus_links - minus_links).astype(np.float64)
+        self._placed = plus_links > 0
         self.anchored = bool(plus_links.any() or minus_links.any())
         self.dense = n <= dense_cutoff
         if not self.anchored:
@@ -226,11 +271,15 @@ class OpinionSolver:
             # every opinion to +1, as x = 1 solves (L + e_v e_v^T) x = e_v.
             return
         # M in its backend's format: a sparse M costs more than a small dense inverse.
-        self._inv = (np.linalg.inv(np.diag(self.base_diag) - self._adj.toarray()) if self.dense
+        self._inv = (_dense_inverse(self._adj, self.base_diag) if self.dense
                      else _RefinedLU(sp.diags(self.base_diag) - self._adj, self._apply_base,
                                      self._d_max))
         self._x0 = self._inv @ self.rhs0
         self._w0 = self._inv @ np.ones(n)
+        # Right-hand sides of the Woodbury step for x and w, gathered per call.
+        self._rhs = np.empty((n, 2))
+        self._rhs[:, 0] = 1.0 - self._x0
+        self._rhs[:, 1] = self._w0
         no_extra = _as_index((), n)
         _check(self._residual_norm(no_extra, self._x0), self._residual_tolerance(no_extra),
                "base solve")
@@ -244,18 +293,57 @@ class OpinionSolver:
         """``diag(M^-1)``, computed for every node on the first gain sweep."""
         return self._inv.diagonal()
 
-    def _update(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Woodbury pieces for the extra targets ``idx``: the columns
-        ``Z = M^-1[:, idx]``, the capacitance matrix ``C = I + Z[idx]`` and
-        ``C^-1 (1 - x0[idx])``."""
+    def _extra_index(self, extra: Sequence[int]) -> np.ndarray:
+        """:func:`_as_index` of extra targets, none of them pre-placed."""
+        idx = _as_index(extra, self.n)
+        placed = idx[self._placed[idx]]
+        if placed.size:
+            raise ValueError(f"targets {placed.tolist()} already hold a plus link")
+        return idx
+
+    def _update(self, idx: np.ndarray, with_columns: bool = False) -> tuple:
+        """Woodbury step for the extra targets ``idx``: the profile ``x_A``
+        and ``w_A = M_A^-1 1``, and with ``with_columns`` also the columns
+        ``Z = M^-1[:, idx]`` and ``C^-1 Z^T``. ``C = I + Z[idx]`` is factored
+        once, for all of its right-hand sides."""
+        if not idx.size:
+            return self._x0.copy(), self._w0, None, None
         z = self._inv[:, idx]
-        c = np.eye(idx.size) + z[idx, :]
-        return z, c, np.linalg.solve(c, 1.0 - self._x0[idx])
+        c = z[idx]
+        c.ravel()[::idx.size + 1] += 1.0
+        rhs = np.hstack((self._rhs[idx], z.T)) if with_columns else self._rhs[idx]
+        sol = _solve_small(c, rhs)
+        y = z @ sol[:, :2]
+        return self._x0 + y[:, 0], self._w0 - y[:, 1], z, sol[:, 2:]
+
+    def _evaluate(self, extra: Sequence[int]) -> tuple[np.ndarray, float]:
+        """The profile ``x`` for ``extra`` and its mean opinion
+        ``F = (sum(x) + w_A^T r) / n``, under the residual rule.
+
+        ``r = s_A - M_A x`` is computed once, in ``np.longdouble``, for both.
+        As ``M_A`` is symmetric, ``w_A^T r = 1^T M_A^-1 r`` is the change of
+        ``sum(x)`` under one step of iterative refinement, so ``F`` is the
+        mean of the refined profile without a further solve: its error is of
+        the second order in the solver's, and its printed digits do not
+        depend on the backend. ``sum(x)`` is ``math.fsum``, exact up to one
+        final rounding.
+        """
+        idx = self._extra_index(extra)
+        if self.anchored:
+            x, w, _, _ = self._update(idx)
+        elif idx.size:
+            # x = 1 solves the system exactly, so the correction is 0.
+            x, w = np.ones(self.n), np.zeros(self.n)
+        else:
+            raise ValueError("no strategic attachment: profile undefined")
+        r = self._residual(idx, x)
+        _check(float(np.abs(r).max()), self._residual_tolerance(idx), "equilibrium")
+        return x, float((math.fsum(x.tolist()) + w @ r) / self.n)
 
     def objective(self, extra: Sequence[int] = ()) -> float:
-        """Mean steady-state opinion with ``extra`` additional plus targets:
-        the mean of :meth:`profile`, under the same residual rule."""
-        return mean_opinion(self.profile(extra))
+        """Mean steady-state opinion with ``extra`` additional plus targets,
+        corrected for the profile's residual (see :meth:`_evaluate`)."""
+        return self._evaluate(extra)[1]
 
     def profile(self, extra: Sequence[int] = ()) -> np.ndarray:
         """Full steady-state opinion vector for the given extra targets.
@@ -263,18 +351,7 @@ class OpinionSolver:
         Raises :class:`SolverConvergenceError` if it misses the balance
         equations by more than :meth:`residual_tolerance`.
         """
-        idx = _as_index(extra, self.n)
-        if not self.anchored:
-            if idx.size == 0:
-                raise ValueError("no strategic attachment: profile undefined")
-            x = np.ones(self.n)
-        elif idx.size == 0:
-            x = self._x0.copy()
-        else:
-            z, _, alpha = self._update(idx)
-            x = self._x0 + z @ alpha
-        _check(self._residual_norm(idx, x), self._residual_tolerance(idx), "equilibrium")
-        return x
+        return self._evaluate(extra)[0]
 
     def gains(self, committed: Sequence[int] = ()) -> np.ndarray:
         """Marginal objective gain of adding each single node to ``committed``.
@@ -283,33 +360,36 @@ class OpinionSolver:
         targeted (committed or pre-placed) are meaningless and must be masked
         by the caller.
         """
-        idx = _as_index(committed, self.n)
+        idx = self._extra_index(committed)
         if not self.anchored:
             # F(empty) is undefined, so the first sweep scores F({v}) = 1
             # itself; once a target is committed nothing more can be gained.
             return np.full(self.n, 0.0 if idx.size else 1.0)
-        x, w, g = self._x0, self._w0, self._g0
+        x, w, z, c_inv_zt = self._update(idx, with_columns=True)
+        g = self._g0
         if idx.size:
-            z, c, alpha = self._update(idx)
-            x = x + z @ alpha
-            w = w - z @ np.linalg.solve(c, w[idx])
-            g = g - np.einsum("ij,ji->i", z, np.linalg.solve(c, z.T))
+            g = g - np.einsum("ij,ji->i", z, c_inv_zt)
         return w * (1.0 - x) / (self.n * (1.0 + g))
 
     def residual_norm(self, extra: Sequence[int], x: np.ndarray) -> float:
         """Infinity norm of ``M_A x - s_A`` for the system with extra targets."""
-        return self._residual_norm(_as_index(extra, self.n), x)
+        return self._residual_norm(self._extra_index(extra), x)
 
     def residual_tolerance(self, extra: Sequence[int]) -> float:
-        return self._residual_tolerance(_as_index(extra, self.n))
+        return self._residual_tolerance(self._extra_index(extra))
+
+    def _residual(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``s_A - M_A x`` in ``np.longdouble``."""
+        xl = x.astype(np.longdouble)
+        r = self._adj @ xl - self.base_diag * xl + self.rhs0
+        r[idx] += 1.0 - xl[idx]
+        return r
 
     def _residual_norm(self, idx: np.ndarray, x: np.ndarray) -> float:
-        res = self._apply_base(x) - self.rhs0
-        res[idx] += x[idx] - 1.0
-        return float(np.abs(res).max())
+        return float(np.abs(self._residual(idx, x)).max())
 
     def _residual_tolerance(self, idx: np.ndarray) -> float:
         d_max = self._d_max
         if idx.size:
-            d_max = max(d_max, float(self.base_diag[idx].max()) + 1.0)
+            d_max = max(d_max, max(self.base_diag[idx].tolist()) + 1.0)
         return _tolerance(d_max)

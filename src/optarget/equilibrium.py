@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .engine import OpinionSolver, SolverConvergenceError, mean_opinion
+from .engine import OpinionSolver, SolverConvergenceError
 from .graphs import Graph, is_connected
 
 __all__ = [
@@ -106,8 +106,8 @@ def solve_equilibrium(inst: Instance, extra: Iterable[int] = ()) -> EquilibriumP
     :class:`SolverConvergenceError` rather than returning a truncated answer.
     """
     targets = inst.check_extra(extra)
-    x = inst.solver.profile(tuple(targets))
-    return EquilibriumProfile(opinions=x, objective=mean_opinion(x), target_set=targets)
+    x, f = inst.solver._evaluate(tuple(targets))
+    return EquilibriumProfile(opinions=x, objective=f, target_set=targets)
 
 
 def _augmented_laplacian(inst: Instance, targets: frozenset[int]) -> sp.csc_matrix:

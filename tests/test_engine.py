@@ -58,6 +58,22 @@ class TestBackendChoice:
         assert "_inv" not in vars(solver)
 
 
+class TestDenseInverse:
+    """The dense ``M^-1`` by LAPACK Cholesky (``dpotrf``, ``dpotri``)."""
+
+    def test_matches_lu_inverse(self, backends):
+        dense, _ = backends
+        inv = engine._dense_inverse(dense._adj, dense.base_diag)
+        expected = np.linalg.inv(np.diag(dense.base_diag) - dense._adj.toarray())
+        np.testing.assert_allclose(inv, expected, rtol=1e-12, atol=0)
+        assert np.array_equal(inv, inv.T)
+
+    def test_failed_factorization_raises(self, backends, monkeypatch):
+        monkeypatch.setattr(engine.lapack, "dpotrf", lambda a, **kwargs: (a, 3))
+        with pytest.raises(SolverConvergenceError, match="Cholesky"):
+            OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=2000)
+
+
 class TestSparseBackendAgreesWithDense:
     def test_objective_on_sets(self, backends):
         dense, sparse = backends
@@ -204,6 +220,15 @@ class TestTargetIds:
         for call in (solver.objective, solver.profile, solver.gains):
             with pytest.raises(ValueError, match="node ids"):
                 call(extra)
+
+    def test_pre_placed_targets_are_rejected(self, cutoff):
+        # Scoring a second plus link on a pre-placed node is not a target set.
+        g = random_connected_graph(30, 0.1, np.random.default_rng(1))
+        solver = OpinionSolver(g, (3,), (7,), dense_cutoff=cutoff)
+        for call in (solver.objective, solver.profile, solver.gains):
+            for extra in [(7,), (2, 7)]:
+                with pytest.raises(ValueError, match=r"targets \[7\] already hold a plus link"):
+                    call(extra)
 
     @pytest.mark.parametrize("minus", [(120,), (3, 3)], ids=["n", "repeated"])
     def test_base_rejects(self, backends, cutoff, minus):

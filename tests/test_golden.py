@@ -2,11 +2,12 @@
 
 The fixtures in ``tests/golden/`` are the CSVs of small seed-7
 configurations, one or more per experiment family (``wall_time_ms`` column
-stripped), each on the dense backend and again with the solver forced onto
-the sparse backend (``*-sparse.csv``), and the ``optarget solve`` output of
-every algorithm on one small edge list, on each backend (``solve.txt`` and
-``solve-sparse.txt``). A refactor must reproduce them exactly. After an
-intended behaviour change, regenerate them with
+stripped), and the ``optarget solve`` output of every algorithm on one small
+edge list (``solve.txt``). Runs on the dense backend and runs with the solver
+forced onto the sparse backend must both reproduce them exactly, and every
+printed objective must equal, to its 12 printed digits, an extended-precision
+reference solve of the chosen set. After an intended behaviour change,
+regenerate the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,9 +18,11 @@ import io
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+import scipy.linalg as la
 
-from optarget import cli, engine, equilibrium, experiments
+from optarget import cli, engine, equilibrium, experiments, heuristics
 
 GOLDEN = Path(__file__).parent / "golden"
 GRAPH = GOLDEN / "graph.txt"
@@ -71,6 +74,24 @@ def sparse_experiment_csv(name: str) -> str:
         return experiment_csv(name)
 
 
+def reference_objective(inst, extra) -> np.longdouble:
+    """Mean opinion of ``inst`` with the plus targets ``extra`` by a dense LU
+    of ``M_A`` and three steps of iterative refinement, each residual and the
+    iterate in ``np.longdouble``; assembled from the graph, not the engine."""
+    n = inst.graph.node_count
+    adj = inst.graph.adjacency_csr().toarray()
+    plus = np.bincount(sorted(inst.plus_base | set(extra)), minlength=n)
+    minus = np.bincount(sorted(inst.minus_set), minlength=n)
+    m = np.diag(adj.sum(axis=1) + plus + minus) - adj
+    s = (plus - minus).astype(np.float64)
+    lu = la.lu_factor(m)
+    x = la.lu_solve(lu, s).astype(np.longdouble)
+    m = m.astype(np.longdouble)
+    for _ in range(3):
+        x += la.lu_solve(lu, (s - m @ x).astype(np.float64))
+    return x.sum() / n
+
+
 def solve_transcript() -> str:
     """Each algorithm's ``optarget solve`` command line and its stdout."""
     parts = []
@@ -96,7 +117,7 @@ def test_experiment_csv_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
 def test_sparse_experiment_csv_matches_golden(name):
-    assert sparse_experiment_csv(name) == _fixture(f"{name}-sparse.csv")
+    assert sparse_experiment_csv(name) == _fixture(f"{name}.csv")
 
 
 def test_solve_outputs_match_golden():
@@ -105,17 +126,36 @@ def test_solve_outputs_match_golden():
 
 def test_sparse_solve_outputs_match_golden():
     with forced_sparse():
-        assert solve_transcript() == _fixture("solve-sparse.txt")
+        assert solve_transcript() == _fixture("solve.txt")
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_printed_objectives_match_extended_precision_reference(sparse):
+    # Every printed objective is a solver's final solve_equilibrium; record
+    # each one over all golden runs and compare its printed digits.
+    solved = []
+    solve = heuristics.solve_equilibrium
+
+    def recording(inst, extra=()):
+        prof = solve(inst, extra)
+        solved.append((inst, prof.target_set, prof.objective))
+        return prof
+
+    backend = forced_sparse() if sparse else contextlib.nullcontext()
+    with backend, mock.patch.object(heuristics, "solve_equilibrium", recording):
+        for name in EXPERIMENT_CONFIGS:
+            experiment_csv(name)
+        solve_transcript()
+    assert len(solved) > 100
+    printed = [(sorted(targets), f"{f:.12g}", f"{float(reference_objective(inst, targets)):.12g}")
+               for inst, targets, f in solved]
+    assert [row for row in printed if row[1] != row[2]] == []
 
 
 def _write_fixtures() -> None:
     for name in EXPERIMENT_CONFIGS:
         (GOLDEN / f"{name}.csv").write_text(experiment_csv(name), encoding="utf-8")
-        (GOLDEN / f"{name}-sparse.csv").write_text(
-            sparse_experiment_csv(name), encoding="utf-8")
     (GOLDEN / "solve.txt").write_text(solve_transcript(), encoding="utf-8")
-    with forced_sparse():
-        (GOLDEN / "solve-sparse.txt").write_text(solve_transcript(), encoding="utf-8")
 
 
 if __name__ == "__main__":
