@@ -28,25 +28,34 @@ the second order in the solver's, so its printed digits do not depend on the
 backend or on how ``M`` was factorized.
 
 Backends: ``M^-1`` is one object: up to ``DENSE_CUTOFF`` nodes the dense
-inverse by LAPACK Cholesky (``dpotrf``, then ``dpotri``, mirrored from the
-upper triangle), with ``M`` assembled, factored and inverted in one n x n
-array; above it a :class:`_RefinedLU` over a sparse LU of the SPD ``M`` in
+inverse by LAPACK Cholesky (``dpotrf``, then ``dpotri``, its upper triangle
+copied down in blocks of ``_MIRROR_BLOCK`` columns), with ``M`` assembled,
+factored and inverted in one n x n array; above it a :class:`_RefinedLU` over a sparse LU of the SPD ``M`` in
 SuperLU's symmetric mode (minimum-degree ordering on ``M + M^T``, diagonal
 pivots), which is ``P M P^T = L D L^T``. Its ``@`` is a solve with one
 refinement step and ``[:, idx]`` one such block solve of unit columns, not
 kept. ``.diagonal()`` (for gain sweeps) is selected inversion on the factor
 (Takahashi, Fagan & Chin 1973): ``Z = (L D L^T)^-1`` is computed only on the
-pattern of ``L``, from the last column backward, by
+pattern of ``L`` by
 
     Z[s, j] = -Z[s, s] L[s, j],   Z[j, j] = 1/d_j - L[s, j]^T Z[s, j]
 
-for the below-diagonal pattern ``s`` of column j, whose entries the chordal
-fill pattern guarantees are already known. The trailing columns that form a
-dense lower triangle are inverted in one LAPACK step (``dtrtri``, scaling by
-``D^-1/2``, ``dlauum``). A fixed probe of ``_DIAG_PROBE`` refined unit-column
-solves, for the nodes eliminated first (which the recurrence reaches last),
-must agree with the selected entries, so a bad factor still raises. A sweep
-reads only the factor, so it does not depend on which evaluations ran before.
+for the below-diagonal pattern ``s`` of column j. The trailing columns that
+form a dense lower triangle are inverted in one LAPACK step (``dtrtri``,
+scaling by ``D^-1/2``, ``dlauum``); their part of every head column's
+``Z[s, s] L[s, j]`` is one sparse-dense product per ``_TAIL_BLOCK`` columns.
+The rest is level-synchronous over the elimination tree, whose parent of
+column j is the first row of ``s``: the chordal fill pattern puts every
+entry column j reads in the columns of its ancestors, so all columns of one
+depth are independent, and each depth, root first, is a few numpy gathers
+and ``bincount`` calls over its pairs of rows of ``s``, chunked to
+``_TAIL_BLOCK`` columns. SuperLU's ``L`` arrives with unsorted rows; only
+the head columns, whose entries are looked up by (column, row), are sorted.
+A long chain is the worst case, with one or two columns per level. A fixed
+probe of ``_DIAG_PROBE`` refined unit-column solves, for the nodes eliminated
+first (which the recurrence reaches last), must agree with the selected
+entries, so a bad factor still raises. A sweep reads only the factor, so it
+does not depend on which evaluations ran before.
 A residual above ``RESIDUAL_RTOL * max(1, d_max)`` in the base solve, the
 diagonal probe or a returned profile (every objective is computed from one),
 a probe that disagrees by more, unequal row and column permutations, a pivot
@@ -74,8 +83,10 @@ DENSE_CUTOFF = 2000
 RESIDUAL_RTOL = 1e-10
 _DIAG_PROBE = 32
 # Head columns per product with the dense tail, which bounds that scratch to
-# this many rows of the tail's width.
+# this many rows of the tail's width, and per step of a level of the head.
 _TAIL_BLOCK = 256
+# Columns per step of the copy that makes a triangle symmetric.
+_MIRROR_BLOCK = 128
 
 
 class SolverConvergenceError(RuntimeError):
@@ -125,11 +136,20 @@ def _dense_inverse(adj, d: np.ndarray) -> np.ndarray:
         inv, info = lapack.dpotri(c, overwrite_c=1)
     if info != 0:
         raise SolverConvergenceError(f"dense Cholesky inverse of M failed (LAPACK info {info})")
-    # dpotri fills the upper triangle and dpotrf zeroed the lower one, so
-    # adding the transpose mirrors it and doubles the diagonal exactly.
-    inv += inv.T
-    inv.ravel(order="F")[::inv.shape[0] + 1] *= 0.5
-    return inv
+    # dpotri fills the upper triangle and dpotrf zeroed the lower one.
+    return _mirror_upper(inv)
+
+
+def _mirror_upper(a: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of the square ``a`` onto its lower triangle,
+    which must hold zeros, in place; one block of ``_MIRROR_BLOCK`` columns
+    at a time, which stays in cache where a whole transposed pass does not."""
+    for b in range(0, a.shape[0], _MIRROR_BLOCK):
+        e = b + _MIRROR_BLOCK
+        a[e:, b:e] = a[b:e, e:].T
+        block = a[b:e, b:e]
+        block += np.triu(block, 1).T
+    return a
 
 
 def _splu_spd(m) -> spla.SuperLU:
@@ -155,15 +175,37 @@ def _check(res: float, tol: float, what: str) -> None:
         )
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + c)`` over ``zip(starts, counts)``."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _depths(parent: np.ndarray) -> np.ndarray:
+    """The depth of every node of a forest given by ``parent`` (-1 at a root),
+    by pointer jumping: each round adds the depth of a node's current
+    ancestor and jumps to that ancestor's own, so it takes log2(height) rounds."""
+    depth = (parent >= 0).astype(np.int64)
+    anc = parent.copy()
+    live = np.flatnonzero(anc >= 0)
+    while live.size:
+        up = anc[live]
+        depth[live] += depth[up]
+        anc[live] = anc[up]
+        live = live[anc[live] >= 0]
+    return depth
+
+
 def _selected_diagonal(l, d: np.ndarray) -> np.ndarray:
     """``diag((L D L^T)^-1)`` in elimination order, for a unit lower-triangular
-    CSC ``L`` with a chordal (filled) pattern and a positive ``d``.
+    CSC ``L`` with a chordal (filled) pattern and a positive ``d``. The rows of
+    ``l`` need not be sorted; ``l`` is not modified.
 
     ``Z`` is kept on the pattern of the head columns, one value per stored
-    entry of ``L``, plus the dense tail; no n x n array is formed. Sorts the
-    indices of ``l`` in place.
+    entry of ``L``, plus the dense tail; no n x n array is formed. The head is
+    walked one elimination-tree level at a time, root first, in chunks of at
+    most ``_TAIL_BLOCK`` columns.
     """
-    l.sort_indices()
     n = d.size
     ptr, rows, vals = l.indptr, l.indices, l.data
     sparse_cols = np.flatnonzero(np.diff(ptr) != n - np.arange(n))
@@ -172,29 +214,73 @@ def _selected_diagonal(l, d: np.ndarray) -> np.ndarray:
     v, _ = lapack.dtrtri(l[t:, t:].toarray(order="F"), lower=1, unitdiag=1, overwrite_c=1)
     v /= np.sqrt(d[t:])[:, None]
     z_tail, _ = lapack.dlauum(v, lower=1, overwrite_c=1)
-    z_tail += np.tril(z_tail, -1).T
-    # Head: z[e] is Z at the stored entry e of L; an entry (r, c) has key c n + r.
-    z = np.empty(ptr[t])
-    keys = np.repeat(np.arange(t) * n, np.diff(ptr[:t + 1])) + rows[:ptr[t]]
-    head_to_tail = l[t:, :t]
-    ptr = ptr.tolist()
-    for stop in range(t, 0, -_TAIL_BLOCK):
-        start = max(0, stop - _TAIL_BLOCK)
-        # Row j - start: Z[tail, tail] @ L[tail, j].
-        tail_part = head_to_tail[:, start:stop].T @ z_tail
-        for j in range(stop - 1, start - 1, -1):
-            lo, hi = ptr[j] + 1, ptr[j + 1]
-            s, lj = rows[lo:hi], vals[lo:hi]
-            h = int(np.searchsorted(s, t))
-            # y = Z[s, s] @ L[s, j]; its tail rows start from Z[tail, tail].
-            y = tail_part[j - start, s[h:] - t]
-            if h:
-                # Rows of Z[s, s] at the head nodes of s, read from their columns.
-                zh = z[np.searchsorted(keys, np.minimum.outer(s[:h], s) * n
-                                       + np.maximum.outer(s[:h], s))]
-                y = np.concatenate((zh @ lj, y + lj[:h] @ zh[:, h:]))
-            z[lo:hi] = -y
-            z[ptr[j]] = 1.0 / d[j] + lj @ y
+    _mirror_upper(z_tail.T)  # dlauum filled the lower triangle; the upper is zero
+    # Head: z[e] is Z at the head entry e of L, (r[e], col[e]) with the key
+    # col n + r; the entries are sorted by key, so the rows of each column are.
+    # Rows are int64, as keys overflow SuperLU's int32 indices above n = 46340.
+    ne = int(ptr[t])
+    counts = np.diff(ptr[:t + 1])
+    col = np.repeat(np.arange(t), counts)
+    r = rows[:ne].astype(np.int64)
+    keys = col * n + r
+    order = np.argsort(keys)
+    keys, r, x = keys[order], r[order], vals[:ne][order]
+    # Tail part: tp[e] = (Z[tail, tail] L[tail, j])[r[e]] at each tail-row
+    # entry e of a column j. z_tail is symmetric, so its C-ordered transpose
+    # serves as the dense operand without a copy.
+    te = np.flatnonzero(r >= t)
+    tptr = np.searchsorted(te, ptr[:t + 1])
+    head_to_tail = sp.csr_matrix((x[te], r[te] - t, tptr), shape=(t, n - t))
+    tp = np.zeros(ne)
+    for start in range(0, t, _TAIL_BLOCK):
+        stop = min(t, start + _TAIL_BLOCK)
+        e = te[tptr[start]:tptr[stop]]
+        tp[e] = (head_to_tail[start:stop] @ z_tail.T)[col[e] - start, r[e] - t]
+    # Levels: the parent of a head column is its first below-diagonal row, and
+    # every Z entry column j reads lies in the columns of its ancestors. Roots
+    # (no parent, or one in the tail) read the tail alone.
+    parent = np.full(t, -1)
+    below = counts > 1
+    parent[below] = r[ptr[:t][below] + 1]
+    parent[parent >= t] = -1
+    depth = _depths(parent)
+    cols = np.argsort(depth, kind="stable")
+    levels = np.flatnonzero(np.diff(depth[cols], prepend=-1)).tolist() + [t]
+    chunks = [k for lo, hi in zip(levels, levels[1:]) for k in range(lo, hi, _TAIL_BLOCK)] + [t]
+    # The below-diagonal entries in level order; ``s`` of a column is the
+    # run [eptr[k], eptr[k + 1]) of its rank k, its head rows first.
+    m = counts[cols] - 1
+    eptr = np.concatenate(([0], np.cumsum(m)))
+    ent = _ranges(ptr[cols] + 1, m)
+    k_of = np.repeat(np.arange(t), m)
+    r_ent, x_ent, tp_ent = r[ent], x[ent], tp[ent]
+    # Pairs (a, b): a a head row of s, b any row of s. ``heads`` lists the
+    # head-row entries; each pairs with the m of its column.
+    head_rows = np.concatenate(([0], np.cumsum(r < t)))
+    h = head_rows[ptr[cols + 1]] - head_rows[ptr[cols] + 1]
+    hptr = np.concatenate(([0], np.cumsum(h)))
+    heads = _ranges(eptr[:-1], h)
+    partners = m[k_of[heads]]
+    first_partner = eptr[k_of[heads]]
+    z = np.empty(ne)
+    for k0, k1 in zip(chunks[:-1], chunks[1:]):
+        e0, e1 = eptr[k0], eptr[k1]
+        a0, a1 = hptr[k0], hptr[k1]
+        # a and b as positions in this chunk's entries.
+        a = np.repeat(heads[a0:a1] - e0, partners[a0:a1])
+        b = _ranges(first_partner[a0:a1] - e0, partners[a0:a1])
+        rs, xs = r_ent[e0:e1], x_ent[e0:e1]
+        ra, rb = rs[a], rs[b]
+        zab = z[np.searchsorted(keys, np.minimum(ra, rb) * n + np.maximum(ra, rb))]
+        # y = Z[s, s] L[s, j]: head rows sum Z[a, b] L[b, j] over all of s,
+        # tail rows add Z[b, a] L[a, j] to their part from Z[tail, tail].
+        y = tp_ent[e0:e1] + np.bincount(
+            np.concatenate((a, b)),
+            weights=np.concatenate((zab * xs[b], zab * xs[a] * (rb >= t))), minlength=e1 - e0)
+        z[ent[e0:e1]] = -y
+        c = cols[k0:k1]
+        z[ptr[c]] = 1.0 / d[c] + np.bincount(k_of[e0:e1] - k0, weights=xs * y,
+                                             minlength=k1 - k0)
     return np.concatenate((z[ptr[:t]], z_tail.diagonal()))
 
 

@@ -187,9 +187,13 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.shape[0]) < p
-    return Graph(n, np.column_stack((iu[mask], ju[mask])))
+    # The kept pairs, as flat indices into the row-major upper triangle: row i
+    # holds (i, i + 1), ..., (i, n - 1) and starts at i (2n - i - 1) / 2.
+    kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    i = np.arange(n)
+    row_start = i * (2 * n - i - 1) // 2
+    i = np.searchsorted(row_start, kept, side="right") - 1
+    return Graph(n, np.column_stack((i, kept - row_start[i] + i + 1)))
 
 
 def generate_complete(n: int) -> Graph:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from optarget import engine
 from optarget import (
     Instance,
+    generate_complete,
     generate_erdos_renyi,
     generate_line,
     solve_equilibrium,
@@ -15,7 +16,7 @@ from optarget import (
     verify_electrical,
 )
 from optarget.engine import OpinionSolver, SolverConvergenceError
-from conftest import CountingLU, random_connected_graph, random_tree
+from conftest import CountingLU, random_connected_graph, random_tree, star_graph
 
 
 class TamperedLU(CountingLU):
@@ -67,6 +68,19 @@ class TestDenseInverse:
         expected = np.linalg.inv(np.diag(dense.base_diag) - dense._adj.toarray())
         np.testing.assert_allclose(inv, expected, rtol=1e-12, atol=0)
         assert np.array_equal(inv, inv.T)
+
+    def test_mirror_is_the_full_transpose_pass(self):
+        # The blocked copy of the upper triangle gives the same bits as
+        # adding the transpose to the zeroed lower triangle and halving the
+        # diagonal; n = 300 is not a multiple of the block.
+        g = random_connected_graph(300, 0.03, np.random.default_rng(8))
+        solver = OpinionSolver(g, (3, 40), (7,))
+        m = np.diag(solver.base_diag) - solver._adj.toarray()
+        c, _ = engine.lapack.dpotrf(m)
+        expected, _ = engine.lapack.dpotri(c)
+        expected += expected.T
+        expected.ravel(order="F")[::g.node_count + 1] *= 0.5
+        assert np.array_equal(engine._dense_inverse(solver._adj, solver.base_diag), expected)
 
     def test_failed_factorization_raises(self, backends, monkeypatch):
         monkeypatch.setattr(engine.lapack, "dpotrf", lambda a, **kwargs: (a, 3))
@@ -204,6 +218,73 @@ class TestSparseDiagonalPass:
         for extra in [(5,), (77,), (150,)]:
             used.profile(extra)
         assert np.array_equal(used.gains(()), fresh.gains(()))
+
+
+class TestLevelPass:
+    """Selected inversion one elimination-tree level at a time, against the
+    diagonal of the dense inverse, or the exact one where that is known."""
+
+    @staticmethod
+    def check(g, minus=(0,), expected=None):
+        solver = OpinionSolver(g, minus, (), dense_cutoff=0)
+        if expected is None:
+            expected = np.diag(engine._dense_inverse(solver._adj, solver.base_diag))
+        np.testing.assert_allclose(solver._inv.diagonal(), expected, rtol=1e-12, atol=0)
+        return solver
+
+    def test_depths(self):
+        parent = np.array([2, 2, 4, -1, -1, 0, 5])
+        assert engine._depths(parent).tolist() == [2, 2, 1, 0, 0, 3, 4]
+
+    def test_long_path_is_a_chain_of_levels(self):
+        # Minimum degree eliminates a path from both ends: its elimination
+        # tree is two chains, so each level holds at most two columns. The
+        # dense inverse misses by 3e-12 here, so the check is the exact
+        # diagonal: node i's resistance to the anchor at node 1500, plus 1.
+        solver = self.check(generate_line(3000), minus=(1500,),
+                            expected=np.abs(np.arange(3000) - 1500) + 1.0)
+        l = solver._inv._lu.L.copy()
+        l.sort_indices()
+        parent = np.append(l.indices[l.indptr[:-2] + 1], -1)  # the last column is the root
+        assert 2 * (engine._depths(parent).max() + 1) >= 3000
+
+    def test_entry_keys_beyond_int32(self):
+        # Above n = 46340 a key column * n + row no longer fits SuperLU's
+        # int32 indices, and a wrapped key reads the wrong entry of Z.
+        n = 50_000
+        solver = OpinionSolver(generate_line(n), (n // 2,), (), dense_cutoff=0)
+        np.testing.assert_allclose(solver._inv.diagonal(), np.abs(np.arange(n) - n // 2) + 1.0,
+                                   rtol=1e-12, atol=0)
+
+    def test_star_level_wider_than_a_chunk(self):
+        # Every leaf is eliminated before the center, so all of them form
+        # one level of 599 columns, more than _TAIL_BLOCK.
+        assert engine._TAIL_BLOCK < 599
+        self.check(star_graph(599), minus=(5,))
+
+    def test_complete_graph_has_no_head(self):
+        self.check(generate_complete(30))
+
+    def test_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(engine, "_TAIL_BLOCK", 3)
+        self.check(random_connected_graph(120, 0.05, np.random.default_rng(99)), minus=(3, 40))
+        self.check(random_tree(500, np.random.default_rng(2)))
+
+    def test_unsorted_rows_give_the_same_diagonal(self):
+        solver = self.check(random_connected_graph(300, 0.02, np.random.default_rng(4)))
+        lu = solver._inv._lu
+        l, d = lu.L, lu.U.diagonal()
+        shuffled = l.copy()
+        rng = np.random.default_rng(0)
+        for j in range(l.shape[1]):
+            lo, hi = l.indptr[j], l.indptr[j + 1]
+            order = lo + rng.permutation(hi - lo)
+            shuffled.indices[lo:hi] = l.indices[order]
+            shuffled.data[lo:hi] = l.data[order]
+        shuffled.has_sorted_indices = False
+        l.sort_indices()
+        assert np.array_equal(engine._selected_diagonal(shuffled, d),
+                              engine._selected_diagonal(l, d))
 
 
 @pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])

@@ -90,6 +90,20 @@ class TestErdosRenyi:
         b = generate_erdos_renyi(40, 0.2, seed=2)
         assert a.edges != b.edges
 
+    @pytest.mark.parametrize("n", [1, 2, 400])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.05])
+    def test_edges_match_the_triu_reference(self, monkeypatch, n, p):
+        # The kept flat indices are decoded into the same (i, j) pairs, in
+        # the same order, as masking np.triu_indices with the same draw.
+        drawn = []
+        monkeypatch.setattr(graphs, "Graph", lambda n, edges: drawn.append(edges))
+        for seed in range(4):
+            generate_erdos_renyi(n, p, seed)
+            rng = np.random.default_rng(seed)
+            iu, ju = np.triu_indices(n, k=1)
+            mask = rng.random(iu.shape[0]) < p
+            assert np.array_equal(drawn.pop(), np.column_stack((iu[mask], ju[mask])))
+
     def test_supercritical_regime_is_almost_always_connected(self):
         # a = 6 is well above the log(n)/n connectivity threshold, so the
         # empirical connectivity rate over many seeds must be essentially 1.
