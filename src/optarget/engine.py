@@ -30,37 +30,39 @@ backend or on how ``M`` was factorized.
 Backends: ``M^-1`` is one object: up to ``DENSE_CUTOFF`` nodes the dense
 inverse by LAPACK Cholesky (``dpotrf``, then ``dpotri``, its upper triangle
 copied down in blocks of ``_MIRROR_BLOCK`` columns), with ``M`` assembled,
-factored and inverted in one n x n array; above it a :class:`_RefinedLU` over a sparse LU of the SPD ``M`` in
-SuperLU's symmetric mode (minimum-degree ordering on ``M + M^T``, diagonal
-pivots), which is ``P M P^T = L D L^T``. Its ``@`` is a solve with one
-refinement step and ``[:, idx]`` one such block solve of unit columns, not
-kept. ``.diagonal()`` (for gain sweeps) is selected inversion on the factor
+factored and inverted in one n x n array; above it a :class:`_SparseInverse`
+over ``P M P^T = L D L^T`` by Kron reduction (:class:`_KronFactor`).
+Eliminating nodes of the resistor network is a Schur complement, done one
+level of independent low-degree nodes at a time, each level one sparse
+product; on the M-matrix ``M`` its entries and pivots are sums of
+nonnegative terms (GTH-style), so nothing cancels. When levels get thin or
+the Schur complement gets dense, LAPACK ``dpotrf`` factors the rest, the
+tail, in one dense array. Its ``@`` is a solve (one sparse product per
+level each way and ``dpotrs`` on the tail) with one refinement step, and
+``[:, idx]`` one such block solve of unit columns, not kept.
+``.diagonal()`` (for gain sweeps) is selected inversion on the factor
 (Takahashi, Fagan & Chin 1973): ``Z = (L D L^T)^-1`` is computed only on the
 pattern of ``L`` by
 
     Z[s, j] = -Z[s, s] L[s, j],   Z[j, j] = 1/d_j - L[s, j]^T Z[s, j]
 
-for the below-diagonal pattern ``s`` of column j. The trailing columns that
-form a dense lower triangle are inverted in one LAPACK step (``dtrtri``,
-scaling by ``D^-1/2``, ``dlauum``); their part of every head column's
-``Z[s, s] L[s, j]`` is one sparse-dense product per ``_TAIL_BLOCK`` columns.
-The rest is level-synchronous over the elimination tree, whose parent of
-column j is the first row of ``s``: the chordal fill pattern puts every
-entry column j reads in the columns of its ancestors, so all columns of one
-depth are independent, and each depth, root first, is a few numpy gathers
-and ``bincount`` calls over its pairs of rows of ``s``, chunked to
-``_TAIL_BLOCK`` columns. SuperLU's ``L`` arrives with unsorted rows; only
-the head columns, whose entries are looked up by (column, row), are sorted.
-A long chain is the worst case, with one or two columns per level. A fixed
-probe of ``_DIAG_PROBE`` refined unit-column solves, for the nodes eliminated
-first (which the recurrence reaches last), must agree with the selected
-entries, so a bad factor still raises. A sweep reads only the factor, so it
-does not depend on which evaluations ran before.
+for the below-diagonal pattern ``s`` of column j. The tail's ``Z`` is
+LAPACK ``dpotri`` of its Cholesky factor; its part of every head column's
+``Z[s, s] L[s, j]`` is one sparse-dense product per ``_TAIL_BLOCK``
+columns. The head is walked one elimination level at a time, last level
+first: the chordal fill puts every entry column j reads in the columns of
+later levels, so the columns of one level are independent, and each level
+is a few numpy gathers and ``bincount`` calls over its pairs of rows of
+``s``, chunked to ``_TAIL_BLOCK`` columns. A fixed probe of ``_DIAG_PROBE``
+refined unit-column solves, for the nodes eliminated first (which the
+recurrence reaches last), with their residuals in ``np.longdouble``, must
+agree with the selected entries, so a bad factor still raises. A sweep
+reads only the factor, so it does not depend on which evaluations ran
+before.
 A residual above ``RESIDUAL_RTOL * max(1, d_max)`` in the base solve, the
 diagonal probe or a returned profile (every objective is computed from one),
-a probe that disagrees by more, unequal row and column permutations, a pivot
-``d_j <= 0`` or a failed dense Cholesky step raises
-:class:`SolverConvergenceError`.
+a probe that disagrees by more, a pivot ``d_j <= 0`` or a failed dense
+Cholesky step raises :class:`SolverConvergenceError`.
 
 With no attachment at all the base is singular, but every nonempty target
 set has the closed-form consensus x = 1, which the solver returns directly.
@@ -74,7 +76,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .graphs import Graph, degrees
@@ -82,6 +83,17 @@ from .graphs import Graph, degrees
 DENSE_CUTOFF = 2000
 RESIDUAL_RTOL = 1e-10
 _DIAG_PROBE = 32
+# Kron reduction (see _KronFactor). A level takes nodes within _LEVEL_SLACK
+# of the minimum degree. Levels stop at one that is thin, taking fewer than
+# 1/_THIN_LEVEL of the m nodes left while the dense work it saves, about
+# |level| m^2 flops, is below _LEVEL_WORK (about the cost of one level's
+# sparse products), or when the Schur complement is denser than
+# _DENSE_TAIL. _HASH is odd, so id * _HASH mod 2^32 is one-to-one.
+_LEVEL_SLACK = 3
+_THIN_LEVEL = 32
+_LEVEL_WORK = 1e7
+_DENSE_TAIL = 0.1
+_HASH = 2654435761
 # Head columns per product with the dense tail, which bounds that scratch to
 # this many rows of the tail's width, and per step of a level of the head.
 _TAIL_BLOCK = 256
@@ -152,17 +164,6 @@ def _mirror_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _splu_spd(m) -> spla.SuperLU:
-    """Sparse LU of a symmetric positive definite matrix.
-
-    Minimum-degree ordering on the symmetric pattern with diagonal pivots
-    keeps the fill about 3x below the default COLAMD column ordering, which
-    is meant for unsymmetric matrices.
-    """
-    return spla.splu(sp.csc_matrix(m), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-
-
 def _tolerance(d_max: float) -> float:
     """The residual rule's bound; ``RESIDUAL_RTOL`` is read at each call."""
     return RESIDUAL_RTOL * max(1.0, d_max)
@@ -181,89 +182,185 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _depths(parent: np.ndarray) -> np.ndarray:
-    """The depth of every node of a forest given by ``parent`` (-1 at a root),
-    by pointer jumping: each round adds the depth of a node's current
-    ancestor and jumps to that ancestor's own, so it takes log2(height) rounds."""
-    depth = (parent >= 0).astype(np.int64)
-    anc = parent.copy()
-    live = np.flatnonzero(anc >= 0)
-    while live.size:
-        up = anc[live]
-        depth[live] += depth[up]
-        anc[live] = anc[up]
-        live = live[anc[live] >= 0]
-    return depth
+def _check_pivots(d: np.ndarray) -> None:
+    if not (d > 0.0).all():
+        raise SolverConvergenceError(
+            f"sparse factor of an SPD matrix has a pivot d = {d.min():.3e} <= 0")
 
 
-def _selected_diagonal(l, d: np.ndarray) -> np.ndarray:
-    """``diag((L D L^T)^-1)`` in elimination order, for a unit lower-triangular
-    CSC ``L`` with a chordal (filled) pattern and a positive ``d``. The rows of
-    ``l`` need not be sorted; ``l`` is not modified.
+def _level(w, ids: np.ndarray) -> np.ndarray:
+    """The next level of a Schur complement whose off-diagonal magnitudes
+    over the nodes ``ids`` are the CSR ``w``: each node within
+    ``_LEVEL_SLACK`` of the minimum degree whose key (degree, then a fixed
+    hash of its id) is below the key of every such neighbour. Keys are
+    distinct, so no two nodes of a level are adjacent."""
+    deg = np.diff(w.indptr)
+    key = deg.astype(np.int64) << 32 | ids * _HASH % (1 << 32)
+    never = np.iinfo(np.int64).max
+    key[deg > deg.min() + _LEVEL_SLACK] = never
+    nearest = np.full(ids.size, never)
+    linked = deg > 0
+    nearest[linked] = np.minimum.reduceat(key[w.indices], w.indptr[:-1][linked])
+    return np.flatnonzero(key < nearest)
 
-    ``Z`` is kept on the pattern of the head columns, one value per stored
-    entry of ``L``, plus the dense tail; no n x n array is formed. The head is
-    walked one elimination-tree level at a time, root first, in chunks of at
-    most ``_TAIL_BLOCK`` columns.
+
+def _off_diagonal(s):
+    """The CSR ``s`` without its diagonal entries, in place."""
+    s.data[s.indices == np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))] = 0.0
+    s.eliminate_zeros()
+    return s
+
+
+class _KronFactor:
+    """``P M P^T = L D L^T`` for ``M = diag(a + W 1) - W``, with ``W`` the
+    symmetric nonnegative CSR adjacency and ``a >= 0`` the grounding, by Kron
+    reduction of one level of independent nodes at a time (see
+    :func:`_level`).
+
+    The Schur complement ``S = diag(a + W 1) - W`` over the nodes left keeps
+    that form: eliminating the level ``H`` leaves the rest ``R`` with
+
+        W' = W_RR + offdiag(F W_HR),   a' = a_R + F a_H,   F = W_RH D_H^-1,
+
+    and the pivots ``D_H = a_H + W_H 1``. These are sums of nonnegative
+    terms, never differences (as in the GTH algorithm of Grassmann, Taksar
+    and Heyman 1985), so each entry and pivot keeps a small relative error,
+    and no entry cancels: the pattern of ``L`` is the exact, chordal fill.
+    ``L[R, H] = -F``. Levels stop at a thin one or a dense ``S`` (see
+    ``_THIN_LEVEL`` and ``_DENSE_TAIL``), always leaving at least one node;
+    LAPACK ``dpotrf`` factors that rest in one dense array.
+
+    ``perm`` lists the nodes in elimination order and ``pos`` is its
+    inverse. Level k holds the positions ``[bounds[k], bounds[k + 1])``,
+    and ``blocks[k]`` is its ``F`` on the positions after it. ``head`` is
+    the unit lower-triangular CSC of the ``bounds[-1]`` level columns of
+    ``L``, ``d`` their pivots, and ``tail`` the upper Cholesky factor of the
+    Schur complement left.
     """
-    n = d.size
-    ptr, rows, vals = l.indptr, l.indices, l.data
-    sparse_cols = np.flatnonzero(np.diff(ptr) != n - np.arange(n))
-    t = int(sparse_cols[-1]) + 1 if sparse_cols.size else 0
-    # Dense tail: Z[t:, t:] = (L_t D_t L_t^T)^-1 = V^T V with V = D_t^-1/2 L_t^-1.
-    v, _ = lapack.dtrtri(l[t:, t:].toarray(order="F"), lower=1, unitdiag=1, overwrite_c=1)
-    v /= np.sqrt(d[t:])[:, None]
-    z_tail, _ = lapack.dlauum(v, lower=1, overwrite_c=1)
-    _mirror_upper(z_tail.T)  # dlauum filled the lower triangle; the upper is zero
-    # Head: z[e] is Z at the head entry e of L, (r[e], col[e]) with the key
-    # col n + r; the entries are sorted by key, so the rows of each column are.
-    # Rows are int64, as keys overflow SuperLU's int32 indices above n = 46340.
-    ne = int(ptr[t])
-    counts = np.diff(ptr[:t + 1])
+
+    def __init__(self, w, a: np.ndarray):
+        n = a.size
+        ids = np.arange(n)
+        a = a.astype(np.float64)
+        levels = []
+        while True:
+            m = ids.size
+            h = _level(w, ids)
+            thin = h.size * _THIN_LEVEL < m and h.size * m * m < _LEVEL_WORK
+            if thin or h.size == m or w.nnz > _DENSE_TAIL * m * m:
+                break
+            rest = np.ones(m, dtype=bool)
+            rest[h] = False
+            r = np.flatnonzero(rest)
+            w_r = w[r]
+            w_rh = w_r[:, h]
+            d_h = a[h] + np.asarray(w_rh.sum(axis=0)).ravel()
+            _check_pivots(d_h)
+            f = w_rh @ sp.diags(1.0 / d_h)
+            w = _off_diagonal(w_r[:, r] + f @ w_rh.T)
+            a = a[r] + f @ a[h]
+            f = f.tocoo()
+            levels.append((ids[h], d_h, ids[r][f.row], f.col, f.data))
+            ids = ids[r]
+        s = w.toarray()
+        pivots = a + s.sum(axis=1)
+        np.subtract(0.0, s, out=s)
+        s.ravel()[::ids.size + 1] = pivots
+        self.tail, info = lapack.dpotrf(s.T, overwrite_a=1)  # S is symmetric
+        if info != 0:
+            raise SolverConvergenceError(
+                f"dense Cholesky of the Schur complement failed (LAPACK info {info})")
+        self.perm = np.concatenate([lv[0] for lv in levels] + [ids])
+        self.pos = np.empty(n, dtype=np.int64)
+        self.pos[self.perm] = np.arange(n)
+        self.bounds = np.cumsum([0] + [lv[0].size for lv in levels]).tolist()
+        self.d = np.concatenate([np.empty(0)] + [lv[1] for lv in levels])
+        t = self.bounds[-1]
+        rows, cols, vals = [np.arange(t)], [np.arange(t)], [np.ones(t)]
+        self.blocks = []
+        for (_, _, r_ids, col, val), p0, p1 in zip(levels, self.bounds, self.bounds[1:]):
+            row = self.pos[r_ids]
+            self.blocks.append(sp.csr_matrix((val, (row - p1, col)), shape=(n - p1, p1 - p0)))
+            rows.append(row)
+            cols.append(col + p0)
+            vals.append(-val)
+        self.head = sp.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, t))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``M^-1 rhs`` for a vector or a block of columns: one sparse product
+        per level on the way down and on the way back, LAPACK ``dpotrs`` on
+        the tail."""
+        b = rhs.reshape(rhs.shape[0], -1)[self.perm]
+        levels = list(zip(self.bounds, self.bounds[1:], self.blocks))
+        for p0, p1, f in levels:
+            b[p1:] += f @ b[p0:p1]
+        t = self.bounds[-1]
+        b[t:] = lapack.dpotrs(self.tail, b[t:])[0]
+        for p0, p1, f in reversed(levels):
+            b[p0:p1] /= self.d[p0:p1, None]
+            b[p0:p1] += f.T @ b[p1:]
+        return b[self.pos].reshape(rhs.shape)
+
+
+def _selected_diagonal(l, d: np.ndarray, bounds: list, tail: np.ndarray) -> np.ndarray:
+    """``diag(M^-1)`` in elimination order from a :class:`_KronFactor`: its
+    unit lower-triangular CSC ``head`` ``l`` (n x t; its rows need not be
+    sorted, and it is not modified) with pivots ``d`` and level ``bounds``,
+    and the upper Cholesky factor ``tail`` of the Schur complement left.
+
+    ``Z = M^-1`` is kept on the pattern of ``l``, one value per stored entry,
+    plus the dense ``Z[t:, t:] = S_T^-1`` (LAPACK ``dpotri``); no n x n array
+    is formed. A level's columns read ``Z`` only in the columns of later
+    levels and of the tail, so the levels are walked last first, in chunks
+    of at most ``_TAIL_BLOCK`` columns.
+    """
+    n, t = l.shape
+    z_tail, info = lapack.dpotri(tail)
+    if info != 0:
+        raise SolverConvergenceError(
+            f"dense Cholesky inverse of the tail failed (LAPACK info {info})")
+    _mirror_upper(z_tail)  # dpotri filled the upper triangle; dpotrf zeroed the lower one
+    # z[e] is Z at the entry e of l, (r[e], col[e]) with the key col n + r;
+    # the entries are sorted by key, so the rows of each column are, its
+    # diagonal first. Rows are int64, as keys overflow int32 above n = 46340.
+    ptr = l.indptr
+    counts = np.diff(ptr)
     col = np.repeat(np.arange(t), counts)
-    r = rows[:ne].astype(np.int64)
+    r = l.indices.astype(np.int64)
     keys = col * n + r
     order = np.argsort(keys)
-    keys, r, x = keys[order], r[order], vals[:ne][order]
+    keys, r, x = keys[order], r[order], l.data[order]
     # Tail part: tp[e] = (Z[tail, tail] L[tail, j])[r[e]] at each tail-row
     # entry e of a column j. z_tail is symmetric, so its C-ordered transpose
     # serves as the dense operand without a copy.
     te = np.flatnonzero(r >= t)
-    tptr = np.searchsorted(te, ptr[:t + 1])
+    tptr = np.searchsorted(te, ptr)
     head_to_tail = sp.csr_matrix((x[te], r[te] - t, tptr), shape=(t, n - t))
-    tp = np.zeros(ne)
+    tp = np.zeros(r.size)
     for start in range(0, t, _TAIL_BLOCK):
         stop = min(t, start + _TAIL_BLOCK)
         e = te[tptr[start]:tptr[stop]]
         tp[e] = (head_to_tail[start:stop] @ z_tail.T)[col[e] - start, r[e] - t]
-    # Levels: the parent of a head column is its first below-diagonal row, and
-    # every Z entry column j reads lies in the columns of its ancestors. Roots
-    # (no parent, or one in the tail) read the tail alone.
-    parent = np.full(t, -1)
-    below = counts > 1
-    parent[below] = r[ptr[:t][below] + 1]
-    parent[parent >= t] = -1
-    depth = _depths(parent)
-    cols = np.argsort(depth, kind="stable")
-    levels = np.flatnonzero(np.diff(depth[cols], prepend=-1)).tolist() + [t]
-    chunks = [k for lo, hi in zip(levels, levels[1:]) for k in range(lo, hi, _TAIL_BLOCK)] + [t]
-    # The below-diagonal entries in level order; ``s`` of a column is the
-    # run [eptr[k], eptr[k + 1]) of its rank k, its head rows first.
-    m = counts[cols] - 1
-    eptr = np.concatenate(([0], np.cumsum(m)))
-    ent = _ranges(ptr[cols] + 1, m)
+    # The below-diagonal entries; ``s`` of column j is the run
+    # [eptr[j], eptr[j + 1]), its head rows first.
+    m = counts - 1
+    eptr = ptr - np.arange(t + 1)
+    ent = _ranges(ptr[:-1] + 1, m)
     k_of = np.repeat(np.arange(t), m)
     r_ent, x_ent, tp_ent = r[ent], x[ent], tp[ent]
     # Pairs (a, b): a a head row of s, b any row of s. ``heads`` lists the
     # head-row entries; each pairs with the m of its column.
     head_rows = np.concatenate(([0], np.cumsum(r < t)))
-    h = head_rows[ptr[cols + 1]] - head_rows[ptr[cols] + 1]
+    h = head_rows[ptr[1:]] - head_rows[ptr[:-1] + 1]
     hptr = np.concatenate(([0], np.cumsum(h)))
     heads = _ranges(eptr[:-1], h)
     partners = m[k_of[heads]]
     first_partner = eptr[k_of[heads]]
-    z = np.empty(ne)
-    for k0, k1 in zip(chunks[:-1], chunks[1:]):
+    chunks = [(k, min(k + _TAIL_BLOCK, hi))
+              for lo, hi in zip(bounds, bounds[1:]) for k in range(lo, hi, _TAIL_BLOCK)]
+    z = np.empty(r.size)
+    for k0, k1 in reversed(chunks):
         e0, e1 = eptr[k0], eptr[k1]
         a0, a1 = hptr[k0], hptr[k1]
         # a and b as positions in this chunk's entries.
@@ -278,52 +375,54 @@ def _selected_diagonal(l, d: np.ndarray) -> np.ndarray:
             np.concatenate((a, b)),
             weights=np.concatenate((zab * xs[b], zab * xs[a] * (rb >= t))), minlength=e1 - e0)
         z[ent[e0:e1]] = -y
-        c = cols[k0:k1]
-        z[ptr[c]] = 1.0 / d[c] + np.bincount(k_of[e0:e1] - k0, weights=xs * y,
-                                             minlength=k1 - k0)
-    return np.concatenate((z[ptr[:t]], z_tail.diagonal()))
+        z[ptr[k0:k1]] = 1.0 / d[k0:k1] + np.bincount(k_of[e0:e1] - k0, weights=xs * y,
+                                                      minlength=k1 - k0)
+    return np.concatenate((z[ptr[:-1]], z_tail.diagonal()))
 
 
-class _RefinedLU:
+class _SparseInverse:
     """``M^-1`` of a sparse SPD ``M`` as far as the solver uses it: ``@``,
-    ``[:, idx]`` and ``.diagonal()``. One step of iterative refinement keeps
-    large sparse solves near machine precision, which downstream 1e-12
-    cross-checks rely on. The factor is read through ``solve``, ``L``, ``U``,
-    ``perm_r`` and ``perm_c``."""
+    ``[:, idx]`` and ``.diagonal()``, from a :class:`_KronFactor`. One step
+    of iterative refinement keeps large sparse solves near machine
+    precision, which downstream 1e-12 cross-checks rely on. The factor is
+    read through ``solve``, ``perm``, ``pos``, ``bounds``, ``head``, ``d``
+    and ``tail``. It keeps ``M`` as ``diag`` and ``adj`` and no reference
+    to the solver, so it is freed with the solver, without waiting for the
+    cyclic garbage collector."""
 
-    def __init__(self, m, apply_m, d_max: float):
-        self._lu = _splu_spd(m)
-        self._apply_m = apply_m
-        self._n = m.shape[0]
-        self._d_max = d_max
+    def __init__(self, adj, diag: np.ndarray, grounding: np.ndarray):
+        self._factor = _KronFactor(adj, grounding)
+        self._adj = adj
+        self._diag = diag
+        self._n = diag.size
+        self._d_max = float(diag.max())
+
+    def _apply_m(self, x: np.ndarray) -> np.ndarray:
+        """``M x`` for a vector or a block of columns."""
+        return (self._diag * x.T).T - self._adj @ x
 
     def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._lu.solve(rhs)
-        return x + self._lu.solve(rhs - self._apply_m(x))
+        x = self._factor.solve(rhs)
+        return x + self._factor.solve(rhs - self._apply_m(x))
 
     def __getitem__(self, key) -> np.ndarray:
         _, idx = key  # [:, idx], recomputed on every call
         return self @ _unit_columns(self._n, idx)
 
     def diagonal(self) -> np.ndarray:
-        lu = self._lu
-        perm = lu.perm_c
-        if not np.array_equal(lu.perm_r, perm):
-            raise SolverConvergenceError(
-                "sparse factor is not symmetric: row and column permutations differ")
-        d = lu.U.diagonal()
-        if not d.min() > 0.0:
-            raise SolverConvergenceError(
-                f"sparse factor of an SPD matrix has a pivot d = {d.min():.3e} <= 0")
-        diag = _selected_diagonal(lu.L, d)[perm]
+        f = self._factor
+        _check_pivots(f.d)
+        diag = _selected_diagonal(f.head, f.d, f.bounds, f.tail)[f.pos]
         # Probe: refined unit-column solves for the nodes eliminated first.
         # Each entry gets the scalar form of one refinement step: since M is
         # symmetric, e_j^T M^-1 r_j = x_j^T r_j for the column x_j and its
         # residual r_j, which is second-order accurate like the full step.
-        probe = np.flatnonzero(perm < _DIAG_PROBE)
+        # The residual is in np.longdouble: the entries of M^-1 grow with n
+        # (to n on a path), and a float64 residual would round them away.
+        probe = np.flatnonzero(f.pos < _DIAG_PROBE)
         eye = _unit_columns(self._n, probe)
-        cols = lu.solve(eye)
-        res = eye - self._apply_m(cols)
+        cols = f.solve(eye)
+        res = eye - self._apply_m(cols.astype(np.longdouble))
         tol = _tolerance(self._d_max)
         _check(float(np.abs(res).max()), tol, "diagonal solve")
         refined = cols[probe, np.arange(probe.size)] + np.einsum("ij,ij->j", cols, res)
@@ -358,8 +457,7 @@ class OpinionSolver:
             return
         # M in its backend's format: a sparse M costs more than a small dense inverse.
         self._inv = (_dense_inverse(self._adj, self.base_diag) if self.dense
-                     else _RefinedLU(sp.diags(self.base_diag) - self._adj, self._apply_base,
-                                     self._d_max))
+                     else _SparseInverse(self._adj, self.base_diag, plus_links + minus_links))
         self._x0 = self._inv @ self.rhs0
         self._w0 = self._inv @ np.ones(n)
         # Right-hand sides of the Woodbury step for x and w, gathered per call.
@@ -369,10 +467,6 @@ class OpinionSolver:
         no_extra = _as_index((), n)
         _check(self._residual_norm(no_extra, self._x0), self._residual_tolerance(no_extra),
                "base solve")
-
-    def _apply_base(self, x: np.ndarray) -> np.ndarray:
-        """``M x`` for a vector or a block of columns."""
-        return (self.base_diag * x.T).T - self._adj @ x
 
     @cached_property
     def _g0(self) -> np.ndarray:

@@ -246,39 +246,44 @@ def generate_poisson_tree(lam: float, max_nodes: int, seed: int) -> Graph:
 def load_edge_list(path) -> Graph:
     """Read a whitespace-separated ``u v`` edge list file into a Graph.
 
-    Lines beginning with ``#`` are comments. Duplicate pairs and reversed
-    duplicates collapse to one undirected edge; self-loops are dropped with a
-    single warning reporting how many were seen. The node count is one plus
-    the largest id in the file, so sparse id ranges are preserved as isolated
-    nodes.
+    Lines beginning with ``#`` are comments. Node ids are decimal integers.
+    Duplicate pairs and reversed duplicates collapse to one undirected edge;
+    self-loops are dropped with a single warning reporting how many were
+    seen. The node count is one plus the largest id in the file, so sparse
+    id ranges are preserved as isolated nodes. The data lines are parsed in
+    one ``np.loadtxt`` call; only a file it rejects is read again line by
+    line, for the number of the first bad line.
     """
-    edges = []  # Graph drops duplicate and reversed pairs
-    max_id = -1
-    self_loops = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise EdgeListError(f"{path}:{lineno}: non-integer node id") from exc
-            if u < 0 or v < 0:
-                raise EdgeListError(f"{path}:{lineno}: negative node id")
-            max_id = max(max_id, u, v)
-            if u == v:
-                self_loops += 1
-                continue
-            edges.append((u, v))
-    if max_id < 0:  # no data line
+        lines = fh.read().split("\n")
+    rows = [i for i, line in enumerate(lines) if (s := line.strip()) and s[0] != "#"]
+    if not rows:
         raise EdgeListError(f"{path}: no edges found")
-    if self_loops:
-        warnings.warn(f"{path}: dropped {self_loops} self-loop(s)", stacklevel=2)
-    return Graph(max_id + 1, edges)
+    try:
+        pairs = np.loadtxt([lines[i] for i in rows], dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        pairs = None
+    if pairs is None or pairs.shape[1] != 2 or (pairs < 0).any():
+        _raise_first_error(path, lines, rows)
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        warnings.warn(f"{path}: dropped {int(loops.sum())} self-loop(s)", stacklevel=2)
+    return Graph(int(pairs.max()) + 1, pairs[~loops])
+
+
+def _raise_first_error(path, lines: list[str], rows: list[int]) -> None:
+    """Raise the EdgeListError of the first data line (0-based ``rows`` of
+    ``lines``) that is not two nonnegative integer ids."""
+    for i in rows:
+        line = lines[i].strip()
+        if len(line.split()) != 2:
+            raise EdgeListError(f"{path}:{i + 1}: expected 'u v', got {line!r}")
+        try:
+            pair = np.loadtxt([line], dtype=np.int64, comments=None)
+        except ValueError as exc:
+            raise EdgeListError(f"{path}:{i + 1}: non-integer node id") from exc
+        if (pair < 0).any():
+            raise EdgeListError(f"{path}:{i + 1}: negative node id")
 
 
 def write_edge_list(g: Graph, path) -> None:

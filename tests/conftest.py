@@ -4,20 +4,21 @@ import pytest
 from optarget import Graph
 
 
-class CountingLU:
-    """Proxy for a SuperLU factor that counts its ``solve`` calls and passes
-    every other attribute (``L``, ``U``, ``perm_r``, ``perm_c``) through."""
+class CountingFactor:
+    """Proxy for the sparse backend's L D L^T factor that counts its
+    ``solve`` calls and passes every other attribute (``perm``, ``pos``,
+    ``bounds``, ``head``, ``d``, ``tail``) through."""
 
-    def __init__(self, lu):
-        self.lu = lu
+    def __init__(self, factor):
+        self.factor = factor
         self.solves = 0
 
     def solve(self, rhs):
         self.solves += 1
-        return self.lu.solve(rhs)
+        return self.factor.solve(rhs)
 
     def __getattr__(self, name):
-        return getattr(self.lu, name)
+        return getattr(self.factor, name)
 
 
 def star_graph(leaves: int) -> Graph:

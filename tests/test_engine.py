@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from optarget import engine
 from optarget import (
+    Graph,
     Instance,
     generate_complete,
     generate_erdos_renyi,
@@ -16,14 +16,14 @@ from optarget import (
     verify_electrical,
 )
 from optarget.engine import OpinionSolver, SolverConvergenceError
-from conftest import CountingLU, random_connected_graph, random_tree, star_graph
+from conftest import CountingFactor, random_connected_graph, random_tree, star_graph
 
 
-class TamperedLU(CountingLU):
+class TamperedFactor(CountingFactor):
     """A factor proxy with some of its attributes replaced."""
 
-    def __init__(self, lu, **attrs):
-        super().__init__(lu)
+    def __init__(self, factor, **attrs):
+        super().__init__(factor)
         self.__dict__.update(attrs)
 
 
@@ -39,7 +39,7 @@ def backends():
 
 
 class TestBackendChoice:
-    """The dense inverse up to ``dense_cutoff`` nodes, the sparse LU above."""
+    """The dense inverse up to ``dense_cutoff`` nodes, the sparse factor above."""
 
     @pytest.fixture
     def graph(self):
@@ -51,7 +51,7 @@ class TestBackendChoice:
 
     def test_sparse_one_above_the_cutoff(self, graph):
         solver = OpinionSolver(graph, (3,), (7,), dense_cutoff=graph.node_count - 1)
-        assert not solver.dense and isinstance(solver._inv, engine._RefinedLU)
+        assert not solver.dense and isinstance(solver._inv, engine._SparseInverse)
 
     @pytest.mark.parametrize("below", [0, 1], ids=["dense", "sparse"])
     def test_unanchored_builds_neither(self, graph, below):
@@ -151,19 +151,19 @@ class TestSparseDiagonalPass:
         # every column, the diagonal pass it replaces.
         sparse.gains(())
         eye = np.eye(sparse.n)
-        cols = sparse._inv._lu.solve(eye)
-        cols += sparse._inv._lu.solve(eye - (sparse.base_diag[:, None] * cols
-                                             - sparse._adj @ cols))
+        cols = sparse._inv._factor.solve(eye)
+        cols += sparse._inv._factor.solve(eye - (sparse.base_diag[:, None] * cols
+                                                 - sparse._adj @ cols))
         np.testing.assert_allclose(sparse._g0, np.diag(cols), rtol=1e-12, atol=0)
 
     def test_first_sweep_solves_only_the_probe(self):
-        # Selected inversion reads the factor itself; the one LU solve is the
+        # Selected inversion reads the factor itself; the one solve is the
         # block of probe columns, however many nodes there are.
         g = random_connected_graph(600, 0.01, np.random.default_rng(6))
         solver = OpinionSolver(g, (3, 40), (7,), dense_cutoff=0)
-        solver._inv._lu = lu = CountingLU(solver._inv._lu)
+        solver._inv._factor = factor = CountingFactor(solver._inv._factor)
         solver.gains(())
-        assert lu.solves == 1
+        assert factor.solves == 1
 
     @pytest.mark.parametrize("chunk", [256, 32])
     def test_one_solve_per_chunk(self, sparse, monkeypatch, chunk):
@@ -172,36 +172,52 @@ class TestSparseDiagonalPass:
         monkeypatch.setattr(engine, "_DIAG_PROBE", chunk)
         widths = []
 
-        class WidthLU(CountingLU):
+        class WidthFactor(CountingFactor):
             def solve(self, rhs):
                 widths.append(rhs.shape[1])
                 return super().solve(rhs)
 
-        sparse._inv._lu = WidthLU(sparse._inv._lu)
+        sparse._inv._factor = WidthFactor(sparse._inv._factor)
         sparse.gains(())
         assert widths == [min(chunk, sparse.n)]
 
-    def test_unequal_permutations_raise(self, sparse):
-        lu = sparse._inv._lu
-        sparse._inv._lu = TamperedLU(lu, perm_c=lu.perm_c[::-1].copy())
-        with pytest.raises(SolverConvergenceError, match="permutations differ"):
-            sparse.gains(())
-
     def test_non_positive_pivot_raises(self, sparse):
-        lu = sparse._inv._lu
-        flip = np.zeros(sparse.n)
-        flip[sparse.n // 2] = 2.0 * lu.U.diagonal()[sparse.n // 2]
-        sparse._inv._lu = TamperedLU(lu, U=lu.U - sp.diags(flip))
+        factor = sparse._inv._factor
+        d = factor.d.copy()
+        d[d.size // 2] *= -1.0
+        sparse._inv._factor = TamperedFactor(factor, d=d)
         with pytest.raises(SolverConvergenceError, match="pivot"):
             sparse.gains(())
 
     def test_wrong_factor_fails_the_probe(self, sparse):
         # Pivots that are positive but wrong give a wrong selected diagonal,
         # which the refined probe columns do not confirm.
-        lu = sparse._inv._lu
-        sparse._inv._lu = TamperedLU(lu, U=1.5 * lu.U)
+        factor = sparse._inv._factor
+        sparse._inv._factor = TamperedFactor(factor, d=1.5 * factor.d)
         with pytest.raises(SolverConvergenceError, match="selected inversion probe"):
             sparse.gains(())
+
+    def test_failed_tail_factorization_raises(self, backends, monkeypatch):
+        monkeypatch.setattr(engine.lapack, "dpotrf", lambda a, **kwargs: (a, 3))
+        with pytest.raises(SolverConvergenceError, match="Cholesky"):
+            OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=10)
+
+    @pytest.mark.parametrize("n, error", [(5, "Cholesky"), (400, "pivot")])
+    def test_unanchored_node_raises(self, n, error):
+        # The last node has no edge and no attachment, so M is singular. On
+        # 400 nodes the first level takes it with the pivot 0; 5 nodes are
+        # left whole to the dense tail.
+        g = Graph(n, [(i, i + 1) for i in range(n - 2)])
+        with pytest.raises(SolverConvergenceError, match=error):
+            OpinionSolver(g, (0,), (), dense_cutoff=0)
+
+    @pytest.mark.parametrize("n", [3000, 10_000])
+    def test_probe_tolerance_on_a_long_path(self, n):
+        # Anchored at an end, a path has the exact diagonal i + 1, up to n:
+        # the probe's residual must be exact enough for entries that large.
+        solver = OpinionSolver(generate_line(n), (0,), (), dense_cutoff=0)
+        solver.gains(())
+        np.testing.assert_allclose(solver._g0, np.arange(n) + 1.0, rtol=1e-12, atol=0)
 
     def test_residual_over_tolerance_raises(self, sparse, monkeypatch):
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
@@ -232,24 +248,18 @@ class TestLevelPass:
         np.testing.assert_allclose(solver._inv.diagonal(), expected, rtol=1e-12, atol=0)
         return solver
 
-    def test_depths(self):
-        parent = np.array([2, 2, 4, -1, -1, 0, 5])
-        assert engine._depths(parent).tolist() == [2, 2, 1, 0, 0, 3, 4]
-
-    def test_long_path_is_a_chain_of_levels(self):
-        # Minimum degree eliminates a path from both ends: its elimination
-        # tree is two chains, so each level holds at most two columns. The
-        # dense inverse misses by 3e-12 here, so the check is the exact
-        # diagonal: node i's resistance to the anchor at node 1500, plus 1.
+    def test_long_path_takes_few_levels(self):
+        # Every node of a path is within the slack of the minimum degree, so
+        # a level takes the local minima of the hash, about a third of the
+        # nodes left, and eliminating them leaves a path: about log_1.5(n)
+        # levels. The dense inverse misses by 3e-12 here, so the check is the
+        # exact diagonal: node i's resistance to the anchor at node 1500, plus 1.
         solver = self.check(generate_line(3000), minus=(1500,),
                             expected=np.abs(np.arange(3000) - 1500) + 1.0)
-        l = solver._inv._lu.L.copy()
-        l.sort_indices()
-        parent = np.append(l.indices[l.indptr[:-2] + 1], -1)  # the last column is the root
-        assert 2 * (engine._depths(parent).max() + 1) >= 3000
+        assert len(solver._inv._factor.bounds) - 1 <= math.log(3000, 1.5)
 
     def test_entry_keys_beyond_int32(self):
-        # Above n = 46340 a key column * n + row no longer fits SuperLU's
+        # Above n = 46340 a key column * n + row no longer fits the factor's
         # int32 indices, and a wrapped key reads the wrong entry of Z.
         n = 50_000
         solver = OpinionSolver(generate_line(n), (n // 2,), (), dense_cutoff=0)
@@ -258,12 +268,18 @@ class TestLevelPass:
 
     def test_star_level_wider_than_a_chunk(self):
         # Every leaf is eliminated before the center, so all of them form
-        # one level of 599 columns, more than _TAIL_BLOCK.
+        # one level of 599 columns, more than _TAIL_BLOCK. The exact diagonal
+        # is the resistance to the anchor at leaf 5, plus 1: 2 at the center,
+        # 1 at leaf 5 and 3 at every other leaf.
         assert engine._TAIL_BLOCK < 599
-        self.check(star_graph(599), minus=(5,))
+        expected = np.full(600, 3.0)
+        expected[[0, 5]] = 2.0, 1.0
+        solver = self.check(star_graph(599), minus=(5,), expected=expected)
+        assert solver._inv._factor.bounds == [0, 599]
 
     def test_complete_graph_has_no_head(self):
-        self.check(generate_complete(30))
+        solver = self.check(generate_complete(30))
+        assert solver._inv._factor.bounds == [0]
 
     def test_small_chunks(self, monkeypatch):
         monkeypatch.setattr(engine, "_TAIL_BLOCK", 3)
@@ -272,8 +288,8 @@ class TestLevelPass:
 
     def test_unsorted_rows_give_the_same_diagonal(self):
         solver = self.check(random_connected_graph(300, 0.02, np.random.default_rng(4)))
-        lu = solver._inv._lu
-        l, d = lu.L, lu.U.diagonal()
+        factor = solver._inv._factor
+        l = factor.head.sorted_indices()
         shuffled = l.copy()
         rng = np.random.default_rng(0)
         for j in range(l.shape[1]):
@@ -282,9 +298,9 @@ class TestLevelPass:
             shuffled.indices[lo:hi] = l.indices[order]
             shuffled.data[lo:hi] = l.data[order]
         shuffled.has_sorted_indices = False
-        l.sort_indices()
-        assert np.array_equal(engine._selected_diagonal(shuffled, d),
-                              engine._selected_diagonal(l, d))
+        args = factor.d, factor.bounds, factor.tail
+        assert np.array_equal(engine._selected_diagonal(shuffled, *args),
+                              engine._selected_diagonal(l, *args))
 
 
 @pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])

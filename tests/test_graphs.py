@@ -218,6 +218,27 @@ class TestEdgeList:
         with pytest.raises(EdgeListError):
             load_edge_list(path)
 
+    @pytest.mark.parametrize("last, message", [
+        ("7 x", "non-integer node id"),
+        ("7 -8", "negative node id"),
+        ("7 8 9", "expected 'u v', got '7 8 9'"),
+    ])
+    def test_error_on_the_last_line_of_a_long_file(self, tmp_path, last, message):
+        # 5,000 good lines after a comment and a blank line: the error
+        # names line 5,003 of the file, the first bad one.
+        path = tmp_path / "g.txt"
+        path.write_text("# header\n\n" + "".join(f"{i} {i + 1}\n" for i in range(5000))
+                        + last + "\n")
+        with pytest.raises(EdgeListError, match=f"g.txt:5003: {message}"):
+            load_edge_list(path)
+
+    def test_first_error_in_file_order(self, tmp_path):
+        # A negative id on line 2 is reported before a malformed line 3.
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n-1 2\n3\n")
+        with pytest.raises(EdgeListError, match=":2: negative node id"):
+            load_edge_list(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# nothing\n")

@@ -25,7 +25,7 @@ from optarget import (
 )
 from optarget.engine import DENSE_CUTOFF, OpinionSolver
 from optarget.heuristics import SCORE_TIE_TOL
-from conftest import CountingLU, random_connected_graph, random_tree, star_graph
+from conftest import CountingFactor, random_connected_graph, random_tree, star_graph
 
 
 def line_instance(n=10, minus=0, budget=1):
@@ -74,15 +74,15 @@ class TestBruteForce:
 
     def test_sparse_budget_two_solves_once_per_sweep(self, rng):
         # Budget 2 on 100 nodes scores every pair: one probe solve for the
-        # diagonal, then one refined column solve (two LU solves) per
+        # diagonal, then one refined column solve (two factor solves) per
         # singleton's sweep and for the final profile, and still the dense
         # optimum.
         g = random_connected_graph(100, 0.04, rng)
         inst = on_backend(Instance(g, frozenset({3, 50}), budget=2), "sparse")
-        inst.solver._inv._lu = lu = CountingLU(inst.solver._inv._lu)
+        inst.solver._inv._factor = factor = CountingFactor(inst.solver._inv._factor)
         out = brute_force(inst)
         bound = 1 + 2 * (len(inst.candidates) + 1)
-        assert lu.solves <= bound
+        assert factor.solves <= bound
         expected = brute_force(Instance(g, frozenset({3, 50}), budget=2))
         assert out.chosen_set == expected.chosen_set
         assert out.objective == pytest.approx(expected.objective, abs=1e-12)
