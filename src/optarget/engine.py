@@ -465,8 +465,8 @@ class OpinionSolver:
         self._rhs[:, 0] = 1.0 - self._x0
         self._rhs[:, 1] = self._w0
         no_extra = _as_index((), n)
-        _check(self._residual_norm(no_extra, self._x0), self._residual_tolerance(no_extra),
-               "base solve")
+        _check(float(np.abs(self._residual(no_extra, self._x0)).max()),
+               self._residual_tolerance(no_extra), "base solve")
 
     @cached_property
     def _g0(self) -> np.ndarray:
@@ -529,7 +529,8 @@ class OpinionSolver:
         """Full steady-state opinion vector for the given extra targets.
 
         Raises :class:`SolverConvergenceError` if it misses the balance
-        equations by more than :meth:`residual_tolerance`.
+        equations by more than ``RESIDUAL_RTOL * max(1, d_max)``, ``d_max``
+        the largest diagonal entry of ``M_A``.
         """
         return self._evaluate(extra)[0]
 
@@ -551,22 +552,12 @@ class OpinionSolver:
             g = g - np.einsum("ij,ji->i", z, c_inv_zt)
         return w * (1.0 - x) / (self.n * (1.0 + g))
 
-    def residual_norm(self, extra: Sequence[int], x: np.ndarray) -> float:
-        """Infinity norm of ``M_A x - s_A`` for the system with extra targets."""
-        return self._residual_norm(self._extra_index(extra), x)
-
-    def residual_tolerance(self, extra: Sequence[int]) -> float:
-        return self._residual_tolerance(self._extra_index(extra))
-
     def _residual(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``s_A - M_A x`` in ``np.longdouble``."""
         xl = x.astype(np.longdouble)
         r = self._adj @ xl - self.base_diag * xl + self.rhs0
         r[idx] += 1.0 - xl[idx]
         return r
-
-    def _residual_norm(self, idx: np.ndarray, x: np.ndarray) -> float:
-        return float(np.abs(self._residual(idx, x)).max())
 
     def _residual_tolerance(self, idx: np.ndarray) -> float:
         d_max = self._d_max

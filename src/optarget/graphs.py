@@ -13,6 +13,7 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 
 class NotATreeError(ValueError):
@@ -27,7 +28,8 @@ class Graph:
     """Immutable undirected graph on nodes ``0 .. node_count-1``.
 
     The stored form is the symmetric 0/1 adjacency matrix in CSR form with
-    sorted column indices; ``edges`` and ``adjacency`` are derived from it.
+    sorted column indices, and the library reads only that. ``edges`` and
+    ``adjacency`` are Python views derived from it for callers.
 
     Attributes:
         node_count: Number of nodes N.
@@ -82,10 +84,7 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        csr = self._csr
-        rows = np.repeat(np.arange(self.node_count), np.diff(csr.indptr))
-        upper = rows < csr.indices
-        return tuple(zip(rows[upper].tolist(), csr.indices[upper].tolist()))
+        return tuple(zip(*_upper_triangle(self)))
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -114,23 +113,6 @@ class Graph:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
 
 
-def _bfs(g: Graph, root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first order of the nodes reachable from ``root``, and the
-    per-node BFS parent (the root maps to itself, unreached nodes to -1).
-    Neighbors are scanned in ascending order."""
-    csr = g.adjacency_csr()
-    indptr, indices = csr.indptr.tolist(), csr.indices.tolist()
-    parent = [-1] * g.node_count
-    parent[root] = root
-    order = [root]
-    for u in order:  # the list grows while it is scanned: a FIFO queue
-        for v in indices[indptr[u]:indptr[u + 1]]:
-            if parent[v] == -1:
-                parent[v] = u
-                order.append(v)
-    return order, parent
-
-
 class TreeView:
     """A tree rooted at a chosen node, with parent links and subtree sizes.
 
@@ -154,15 +136,21 @@ class TreeView:
             raise NotATreeError(
                 f"graph has {graph.edge_count} edges, a tree on {n} nodes has {n - 1}"
             )
-        order, parent = _bfs(graph, root)
+        # The CSR is symmetric, so a directed traversal follows every edge;
+        # it scans each node's neighbors in ascending order.
+        order, parent = breadth_first_order(graph.adjacency_csr(), root,
+                                            return_predecessors=True)
         if len(order) != n:
             raise NotATreeError("graph is disconnected")
+        parent[root] = root
+        order, parent = order.tolist(), parent.tolist()
         depth = [0] * n
         # BFS discovers each node's children in ascending order.
         children: list[list[int]] = [[] for _ in range(n)]
         for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-            children[parent[v]].append(v)
+            p = parent[v]
+            depth[v] = depth[p] + 1
+            children[p].append(v)
         size = [1] * n
         for v in reversed(order[1:]):
             size[parent[v]] += size[v]
@@ -170,7 +158,7 @@ class TreeView:
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "depth", tuple(depth))
-        object.__setattr__(self, "children", tuple(tuple(cs) for cs in children))
+        object.__setattr__(self, "children", tuple(map(tuple, children)))
         object.__setattr__(self, "subtree_size", tuple(size))
 
     def __setattr__(self, name, value):
@@ -286,19 +274,28 @@ def _raise_first_error(path, lines: list[str], rows: list[int]) -> None:
             raise EdgeListError(f"{path}:{i + 1}: negative node id")
 
 
+def _upper_triangle(g: Graph) -> tuple[list[int], list[int]]:
+    """The edges ``(i, j)``, ``i < j``, in row-major order of the CSR's upper
+    triangle, as a list of the ``i`` and a list of the ``j``."""
+    csr = g.adjacency_csr()
+    rows = np.repeat(np.arange(g.node_count), np.diff(csr.indptr))
+    upper = rows < csr.indices
+    return rows[upper].tolist(), csr.indices[upper].tolist()
+
+
 def write_edge_list(g: Graph, path) -> None:
     """Write a Graph in the same ``u v`` per-line format read by load_edge_list."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# nodes={g.node_count} edges={g.edge_count}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+        fh.write("".join(f"{u} {v}\n" for u, v in zip(*_upper_triangle(g))))
 
 
 def is_connected(g: Graph) -> bool:
     """True iff a breadth-first search from node 0 reaches every node. The
     answer is cached on the (immutable) graph, so a second check is free."""
     if g._connected is None:
-        object.__setattr__(g, "_connected", len(_bfs(g, 0)[0]) == g.node_count)
+        reached = breadth_first_order(g.adjacency_csr(), 0, return_predecessors=False)
+        object.__setattr__(g, "_connected", len(reached) == g.node_count)
     return g._connected
 
 

@@ -197,7 +197,8 @@ def _climb(inst: Instance, gains, root: int, taken) -> tuple[int, dict, int, int
     and re-encountered neighbors reuse their score. Returns the end node, the
     score of every node scored, and the evaluation and visited counts.
     """
-    adjacency = inst.graph.adjacency
+    csr = inst.graph.adjacency_csr()
+    indptr, indices = csr.indptr, csr.indices
     scores: dict[int, float] = {}
     evaluations = visited = 0
     current, current_f = root, 0.0
@@ -205,14 +206,16 @@ def _climb(inst: Instance, gains, root: int, taken) -> tuple[int, dict, int, int
         scores[root] = current_f = gains[root]
         evaluations = 1
     while True:
-        fresh = [v for v in adjacency[current] if v not in scores and v not in taken]
+        # Python ints, in ascending order: the CSR's sorted column indices.
+        neighbors = indices[indptr[current]:indptr[current + 1]].tolist()
+        fresh = [v for v in neighbors if v not in scores and v not in taken]
         for v in fresh:
             scores[v] = gains[v]
         visited += len(fresh)
         evaluations += len(fresh)
         improving = [
             (v, scores[v])
-            for v in adjacency[current]
+            for v in neighbors
             if v in scores and scores[v] > current_f + SCORE_TIE_TOL
         ]
         if not improving:

@@ -11,6 +11,7 @@ from optarget import (
     generate_erdos_renyi,
     generate_line,
     solve_equilibrium,
+    tree_descent,
     tree_path_objective,
     tree_view,
     verify_electrical,
@@ -131,8 +132,9 @@ class TestSparseBackendAgreesWithDense:
 
     def test_residuals_check_out(self, backends):
         _, sparse = backends
+        idx = sparse._extra_index((4, 17))
         x = sparse.profile((4, 17))
-        assert sparse.residual_norm((4, 17), x) <= sparse.residual_tolerance((4, 17))
+        assert np.abs(sparse._residual(idx, x)).max() <= sparse._residual_tolerance(idx)
 
 
 class TestSparseDiagonalPass:
@@ -375,6 +377,21 @@ class TestLargeInstances:
         t = tree_view(g, 0)
         expected = [tree_path_objective(t, v) for v in range(n)]
         np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
+    def test_tree_descent_on_a_large_random_recursive_tree(self):
+        # 2 * 10^4 nodes: at 10^5 the descent alone takes about a second.
+        n = 20_000
+        rng = np.random.default_rng(100_000)
+        child = np.arange(1, n)
+        g = Graph(n, np.column_stack((rng.integers(0, child), child)))
+        root = n - 1
+        out = tree_descent(Instance(g, frozenset({root}), budget=1))
+        t = tree_view(g, root)
+        scores = [tree_path_objective(t, k) for k in range(n)]
+        best = max(scores)
+        assert [k for k in range(n) if scores[k] >= best - 1e-12] == [1]
+        assert out.chosen_set == {1}
+        assert out.objective == pytest.approx(best, abs=1e-12)
 
     def test_long_line_uses_sparse_solver_end_to_end(self):
         # 2600 nodes is beyond the dense cutoff, so this covers the sparse

@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 from optarget import (
     EdgeListError,
     Graph,
+    Instance,
     NotATreeError,
     degrees,
     generate_complete,
     generate_erdos_renyi,
     generate_line,
     generate_poisson_tree,
+    hill_climb,
+    hill_climb_multi,
     is_connected,
     load_edge_list,
+    tree_descent,
     tree_view,
     write_edge_list,
 )
@@ -273,8 +277,9 @@ class TestConnectivity:
                                                   ([(0, 1)], False)])
     def test_answer_is_cached_on_the_graph(self, edges, connected, monkeypatch):
         roots = []
-        bfs = graphs._bfs
-        monkeypatch.setattr(graphs, "_bfs", lambda g, root: roots.append(root) or bfs(g, root))
+        bfs = graphs.breadth_first_order
+        monkeypatch.setattr(graphs, "breadth_first_order",
+                            lambda csr, root, **kw: roots.append(root) or bfs(csr, root, **kw))
         g = Graph(3, edges)
         assert is_connected(g) is connected
         assert is_connected(g) is connected
@@ -300,6 +305,31 @@ class TestTreeView:
             tree_view(Graph(4, [(0, 1), (2, 3), (1, 2), (0, 2)]), root=0)
         with pytest.raises(NotATreeError):
             tree_view(Graph(4, [(0, 1), (2, 3), (1, 2), (0, 2)][:2]), root=0)
+
+    @pytest.mark.parametrize("root", [0, 1500])
+    def test_long_path(self, root):
+        n = 3000
+        t = tree_view(generate_line(n), root)
+        toward_root = [v + (v < root) - (v > root) for v in range(n)]
+        assert t.parent == tuple(toward_root)
+        assert t.depth == tuple(abs(v - root) for v in range(n))
+        assert t.children == tuple(
+            tuple(c for c in (v - 1, v + 1) if 0 <= c < n and toward_root[c] == v)
+            for v in range(n))
+        assert t.subtree_size == tuple(
+            n if v == root else v + 1 if v < root else n - v for v in range(n))
+
+    def test_star_from_center_and_from_a_leaf(self):
+        t = tree_view(star_graph(5), root=0)
+        assert t.parent == (0,) * 6
+        assert t.depth == (0,) + (1,) * 5
+        assert t.children == ((1, 2, 3, 4, 5),) + ((),) * 5
+        assert t.subtree_size == (6,) + (1,) * 5
+        t = tree_view(star_graph(5), root=3)
+        assert t.parent == (3, 0, 0, 3, 0, 0)
+        assert t.depth == (1, 2, 2, 0, 2, 2)
+        assert t.children == ((1, 2, 4, 5), (), (), (0,), (), ())
+        assert t.subtree_size == (5, 1, 1, 6, 1, 1)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 10_000), root=st.integers(0, 39))
@@ -405,6 +435,16 @@ class TestRepresentation:
             Graph(3, [(0, 1), (2, 2), (5, 6)])
         with pytest.raises(ValueError, match="self-loop on node 7"):
             Graph(3, np.array([(7, 7), (0, -1)]))
+
+    def test_no_library_layer_builds_the_python_adjacency(self, tmp_path):
+        g = generate_poisson_tree(3.0, 200, seed=1)
+        inst = Instance(g, frozenset({5}), budget=1)
+        assert g._adjacency is None
+        for solve in (hill_climb, hill_climb_multi, tree_descent):
+            solve(inst)
+            assert g._adjacency is None, solve.__name__
+        write_edge_list(g, tmp_path / "g.txt")
+        assert g._adjacency is None
 
     def test_adjacency_csr_is_the_stored_symmetric_matrix(self):
         g = generate_erdos_renyi(50, 0.1, seed=2)
