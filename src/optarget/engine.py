@@ -36,25 +36,26 @@ Eliminating nodes of the resistor network is a Schur complement, done one
 level of independent low-degree nodes at a time, each level one sparse
 product; on the M-matrix ``M`` its entries and pivots are sums of
 nonnegative terms (GTH-style), so nothing cancels. When levels get thin or
-the Schur complement gets dense, LAPACK ``dpotrf`` factors the rest, the
-tail, in one dense array. Its ``@`` is a solve (one sparse product per
-level each way and ``dpotrs`` on the tail) with one refinement step, and
-``[:, idx]`` one such block solve of unit columns, not kept.
+the Schur complement gets dense, the rest, the tail, is inverted by the
+dense backend's own kernel, and that inverse ``S_T^-1`` is kept. Its ``@``
+is a solve (one sparse product per level each way and one dense product
+with ``S_T^-1``) with one refinement step, and ``[:, idx]`` one such block
+solve of unit columns, not kept.
 ``.diagonal()`` (for gain sweeps) is selected inversion on the factor
 (Takahashi, Fagan & Chin 1973): ``Z = (L D L^T)^-1`` is computed only on the
 pattern of ``L`` by
 
     Z[s, j] = -Z[s, s] L[s, j],   Z[j, j] = 1/d_j - L[s, j]^T Z[s, j]
 
-for the below-diagonal pattern ``s`` of column j. The tail's ``Z`` is
-LAPACK ``dpotri`` of its Cholesky factor; its part of every head column's
-``Z[s, s] L[s, j]`` is one sparse-dense product per ``_TAIL_BLOCK``
-columns. The head is walked one elimination level at a time, last level
-first: the chordal fill puts every entry column j reads in the columns of
-later levels, so the columns of one level are independent, and each level
-is a few numpy gathers and ``bincount`` calls over its pairs of rows of
-``s``, chunked to ``_TAIL_BLOCK`` columns. A fixed probe of ``_DIAG_PROBE``
-refined unit-column solves, for the nodes eliminated first (which the
+for the below-diagonal pattern ``s`` of column j. The tail's ``Z`` is the
+kept ``S_T^-1``; its part of every head column's ``Z[s, s] L[s, j]`` is one
+sparse-dense product per ``_TAIL_BLOCK`` columns. The head is walked one
+elimination level at a time, last level first: the chordal fill puts every
+entry column j reads in the columns of later levels, so the columns of one
+level are independent, and each level is a few numpy gathers and
+``bincount`` calls over its pairs of rows of ``s``, chunked to
+``_TAIL_BLOCK`` columns. A fixed probe of ``_DIAG_PROBE`` refined
+unit-column solves, for the nodes eliminated first (which the
 recurrence reaches last), with their residuals in ``np.longdouble``, must
 agree with the selected entries, so a bad factor still raises. A sweep
 reads only the factor, so it does not depend on which evaluations ran
@@ -137,9 +138,10 @@ def _solve_small(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _dense_inverse(adj, d: np.ndarray) -> np.ndarray:
     """``M^-1`` for ``M = diag(d) - adj`` through its Cholesky factor (LAPACK
-    ``dpotrf``, then ``dpotri``). M is assembled, factored and inverted in one
-    n x n array: M is symmetric, so its transpose is the Fortran-ordered
-    matrix that LAPACK overwrites."""
+    ``dpotrf``, then ``dpotri``), for the dense backend and the Kron tail.
+    M is assembled, factored and inverted in one n x n array: M is
+    symmetric, so its transpose is the Fortran-ordered matrix that LAPACK
+    overwrites."""
     m = adj.toarray()
     np.subtract(0.0, m, out=m)  # -adj without -0.0 entries
     m.ravel()[::m.shape[0] + 1] = d
@@ -147,21 +149,16 @@ def _dense_inverse(adj, d: np.ndarray) -> np.ndarray:
     if info == 0:
         inv, info = lapack.dpotri(c, overwrite_c=1)
     if info != 0:
-        raise SolverConvergenceError(f"dense Cholesky inverse of M failed (LAPACK info {info})")
-    # dpotri fills the upper triangle and dpotrf zeroed the lower one.
-    return _mirror_upper(inv)
-
-
-def _mirror_upper(a: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle of the square ``a`` onto its lower triangle,
-    which must hold zeros, in place; one block of ``_MIRROR_BLOCK`` columns
-    at a time, which stays in cache where a whole transposed pass does not."""
-    for b in range(0, a.shape[0], _MIRROR_BLOCK):
+        raise SolverConvergenceError(f"dense Cholesky inverse failed (LAPACK info {info})")
+    # dpotri filled the upper triangle and dpotrf zeroed the lower one. Copy
+    # it down one block of _MIRROR_BLOCK columns at a time, which stays in
+    # cache where a whole transposed pass does not.
+    for b in range(0, inv.shape[0], _MIRROR_BLOCK):
         e = b + _MIRROR_BLOCK
-        a[e:, b:e] = a[b:e, e:].T
-        block = a[b:e, b:e]
+        inv[e:, b:e] = inv[b:e, e:].T
+        block = inv[b:e, b:e]
         block += np.triu(block, 1).T
-    return a
+    return inv
 
 
 def _tolerance(d_max: float) -> float:
@@ -228,14 +225,14 @@ class _KronFactor:
     and no entry cancels: the pattern of ``L`` is the exact, chordal fill.
     ``L[R, H] = -F``. Levels stop at a thin one or a dense ``S`` (see
     ``_THIN_LEVEL`` and ``_DENSE_TAIL``), always leaving at least one node;
-    LAPACK ``dpotrf`` factors that rest in one dense array.
+    :func:`_dense_inverse` inverts the ``S`` of that rest, the tail.
 
     ``perm`` lists the nodes in elimination order and ``pos`` is its
     inverse. Level k holds the positions ``[bounds[k], bounds[k + 1])``,
     and ``blocks[k]`` is its ``F`` on the positions after it. ``head`` is
     the unit lower-triangular CSC of the ``bounds[-1]`` level columns of
-    ``L``, ``d`` their pivots, and ``tail`` the upper Cholesky factor of the
-    Schur complement left.
+    ``L``, ``d`` their pivots, and ``z_tail`` the dense symmetric inverse
+    ``S_T^-1`` of the Schur complement left.
     """
 
     def __init__(self, w, a: np.ndarray):
@@ -262,14 +259,6 @@ class _KronFactor:
             f = f.tocoo()
             levels.append((ids[h], d_h, ids[r][f.row], f.col, f.data))
             ids = ids[r]
-        s = w.toarray()
-        pivots = a + s.sum(axis=1)
-        np.subtract(0.0, s, out=s)
-        s.ravel()[::ids.size + 1] = pivots
-        self.tail, info = lapack.dpotrf(s.T, overwrite_a=1)  # S is symmetric
-        if info != 0:
-            raise SolverConvergenceError(
-                f"dense Cholesky of the Schur complement failed (LAPACK info {info})")
         self.perm = np.concatenate([lv[0] for lv in levels] + [ids])
         self.pos = np.empty(n, dtype=np.int64)
         self.pos[self.perm] = np.arange(n)
@@ -286,41 +275,39 @@ class _KronFactor:
             vals.append(-val)
         self.head = sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, t))
+        self.z_tail = _dense_inverse(w, a + np.asarray(w.sum(axis=1)).ravel())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``M^-1 rhs`` for a vector or a block of columns: one sparse product
-        per level on the way down and on the way back, LAPACK ``dpotrs`` on
-        the tail."""
+        per level on the way down and on the way back, and one product with
+        ``z_tail`` on the tail."""
         b = rhs.reshape(rhs.shape[0], -1)[self.perm]
         levels = list(zip(self.bounds, self.bounds[1:], self.blocks))
         for p0, p1, f in levels:
             b[p1:] += f @ b[p0:p1]
         t = self.bounds[-1]
-        b[t:] = lapack.dpotrs(self.tail, b[t:])[0]
+        # z_tail @ b[t:], taken as (b^T z_tail^T)^T: on 2 to 32 columns of an
+        # 879-column tail, OpenBLAS runs that form 1.4-1.9x faster.
+        b[t:] = (b[t:].T @ self.z_tail.T).T
         for p0, p1, f in reversed(levels):
             b[p0:p1] /= self.d[p0:p1, None]
             b[p0:p1] += f.T @ b[p1:]
         return b[self.pos].reshape(rhs.shape)
 
 
-def _selected_diagonal(l, d: np.ndarray, bounds: list, tail: np.ndarray) -> np.ndarray:
+def _selected_diagonal(l, d: np.ndarray, bounds: list, z_tail: np.ndarray) -> np.ndarray:
     """``diag(M^-1)`` in elimination order from a :class:`_KronFactor`: its
     unit lower-triangular CSC ``head`` ``l`` (n x t; its rows need not be
-    sorted, and it is not modified) with pivots ``d`` and level ``bounds``,
-    and the upper Cholesky factor ``tail`` of the Schur complement left.
+    sorted) with pivots ``d`` and level ``bounds``, and the dense inverse
+    ``z_tail`` of the Schur complement left. Neither array is modified.
 
     ``Z = M^-1`` is kept on the pattern of ``l``, one value per stored entry,
-    plus the dense ``Z[t:, t:] = S_T^-1`` (LAPACK ``dpotri``); no n x n array
-    is formed. A level's columns read ``Z`` only in the columns of later
-    levels and of the tail, so the levels are walked last first, in chunks
-    of at most ``_TAIL_BLOCK`` columns.
+    plus the dense ``Z[t:, t:] = S_T^-1``, which is ``z_tail``; no n x n
+    array is formed. A level's columns read ``Z`` only in the columns of
+    later levels and of the tail, so the levels are walked last first, in
+    chunks of at most ``_TAIL_BLOCK`` columns.
     """
     n, t = l.shape
-    z_tail, info = lapack.dpotri(tail)
-    if info != 0:
-        raise SolverConvergenceError(
-            f"dense Cholesky inverse of the tail failed (LAPACK info {info})")
-    _mirror_upper(z_tail)  # dpotri filled the upper triangle; dpotrf zeroed the lower one
     # z[e] is Z at the entry e of l, (r[e], col[e]) with the key col n + r;
     # the entries are sorted by key, so the rows of each column are, its
     # diagonal first. Rows are int64, as keys overflow int32 above n = 46340.
@@ -386,7 +373,7 @@ class _SparseInverse:
     of iterative refinement keeps large sparse solves near machine
     precision, which downstream 1e-12 cross-checks rely on. The factor is
     read through ``solve``, ``perm``, ``pos``, ``bounds``, ``head``, ``d``
-    and ``tail``. It keeps ``M`` as ``diag`` and ``adj`` and no reference
+    and ``z_tail``. It keeps ``M`` as ``diag`` and ``adj`` and no reference
     to the solver, so it is freed with the solver, without waiting for the
     cyclic garbage collector."""
 
@@ -412,7 +399,7 @@ class _SparseInverse:
     def diagonal(self) -> np.ndarray:
         f = self._factor
         _check_pivots(f.d)
-        diag = _selected_diagonal(f.head, f.d, f.bounds, f.tail)[f.pos]
+        diag = _selected_diagonal(f.head, f.d, f.bounds, f.z_tail)[f.pos]
         # Probe: refined unit-column solves for the nodes eliminated first.
         # Each entry gets the scalar form of one refinement step: since M is
         # symmetric, e_j^T M^-1 r_j = x_j^T r_j for the column x_j and its

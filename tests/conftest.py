@@ -7,7 +7,7 @@ from optarget import Graph
 class CountingFactor:
     """Proxy for the sparse backend's L D L^T factor that counts its
     ``solve`` calls and passes every other attribute (``perm``, ``pos``,
-    ``bounds``, ``head``, ``d``, ``tail``) through."""
+    ``bounds``, ``head``, ``d``, ``z_tail``) through."""
 
     def __init__(self, factor):
         self.factor = factor

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ class TestDenseInverse:
         monkeypatch.setattr(engine.lapack, "dpotrf", lambda a, **kwargs: (a, 3))
         with pytest.raises(SolverConvergenceError, match="Cholesky"):
             OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=2000)
+
+    @pytest.mark.parametrize("cutoff", [2000, 10], ids=["dense", "sparse"])
+    def test_failed_inverse_raises_on_construction(self, backends, monkeypatch, cutoff):
+        # Both backends invert their dense part when they are built, so a
+        # failed dpotri raises there, not at the first gain sweep.
+        monkeypatch.setattr(engine.lapack, "dpotri", lambda c, **kwargs: (c, 2))
+        with pytest.raises(SolverConvergenceError, match="Cholesky"):
+            OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=cutoff)
 
 
 class TestSparseBackendAgreesWithDense:
@@ -199,6 +208,21 @@ class TestSparseDiagonalPass:
         with pytest.raises(SolverConvergenceError, match="selected inversion probe"):
             sparse.gains(())
 
+    def test_first_sweep_allocates_less_than_one_tail_array(self):
+        # The kept tail inverse is read in place: the first sweep's peak
+        # stays below one t x t array. A complete graph would not do, as the
+        # probe's longdouble M x upcasts a CSR as large as that array.
+        g = generate_erdos_renyi(1200, 12 / 1199, seed=4)
+        solver = OpinionSolver(g, (3, 40), (7,), dense_cutoff=0)
+        t = g.node_count - solver._inv._factor.bounds[-1]
+        tracemalloc.start()
+        try:
+            solver.gains(())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t * t * 8
+
     def test_failed_tail_factorization_raises(self, backends, monkeypatch):
         monkeypatch.setattr(engine.lapack, "dpotrf", lambda a, **kwargs: (a, 3))
         with pytest.raises(SolverConvergenceError, match="Cholesky"):
@@ -280,8 +304,14 @@ class TestLevelPass:
         assert solver._inv._factor.bounds == [0, 599]
 
     def test_complete_graph_has_no_head(self):
+        # With no level the tail is all of M, and its inverse comes from the
+        # dense backend's kernel: the 0/1 row sums give the same integer
+        # pivots, so the bits are the same.
         solver = self.check(generate_complete(30))
-        assert solver._inv._factor.bounds == [0]
+        factor = solver._inv._factor
+        assert factor.bounds == [0]
+        assert np.array_equal(factor.z_tail,
+                              engine._dense_inverse(solver._adj, solver.base_diag))
 
     def test_small_chunks(self, monkeypatch):
         monkeypatch.setattr(engine, "_TAIL_BLOCK", 3)
@@ -300,7 +330,7 @@ class TestLevelPass:
             shuffled.indices[lo:hi] = l.indices[order]
             shuffled.data[lo:hi] = l.data[order]
         shuffled.has_sorted_indices = False
-        args = factor.d, factor.bounds, factor.tail
+        args = factor.d, factor.bounds, factor.z_tail
         assert np.array_equal(engine._selected_diagonal(shuffled, *args),
                               engine._selected_diagonal(l, *args))
 
