@@ -14,7 +14,6 @@ from .engine import SolverConvergenceError
 from .equilibrium import Instance
 from .graphs import (
     EdgeListError,
-    NotATreeError,
     generate_complete,
     generate_erdos_renyi,
     generate_line,
@@ -159,7 +158,7 @@ def main(argv=None) -> int:
     except (EdgeListError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, NotATreeError, experiments.ResampleError) as exc:
+    except (ValueError, experiments.ResampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .engine import OpinionSolver, SolverConvergenceError
+from .engine import OpinionSolver, SolverConvergenceError, _as_index
 from .graphs import Graph, is_connected
 
 __all__ = [
@@ -28,14 +28,6 @@ __all__ = [
 ]
 
 ELECTRICAL_ATOL = 1e-8
-
-
-def _node_set(nodes: Iterable[int], n: int, what: str) -> frozenset[int]:
-    out = frozenset(int(v) for v in nodes)
-    for v in out:
-        if not (0 <= v < n):
-            raise ValueError(f"{what} contains node {v} outside [0, {n})")
-    return out
 
 
 @dataclass(frozen=True)
@@ -54,8 +46,10 @@ class Instance:
 
     def __post_init__(self):
         n = self.graph.node_count
-        object.__setattr__(self, "minus_set", _node_set(self.minus_set, n, "minus_set"))
-        object.__setattr__(self, "plus_base", _node_set(self.plus_base, n, "plus_base"))
+        for name in ("minus_set", "plus_base"):
+            ids = frozenset(int(v) for v in getattr(self, name))
+            _as_index(ids, n)
+            object.__setattr__(self, name, ids)
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
         if self.budget > n - len(self.plus_base):
@@ -78,13 +72,6 @@ class Instance:
             v for v in range(self.graph.node_count) if v not in self.plus_base
         )
 
-    def check_extra(self, extra: Iterable[int]) -> frozenset[int]:
-        out = _node_set(extra, self.graph.node_count, "target set")
-        overlap = out & self.plus_base
-        if overlap:
-            raise ValueError(f"targets {sorted(overlap)} already hold a plus link")
-        return out
-
 
 @dataclass(frozen=True)
 class EquilibriumProfile:
@@ -104,13 +91,15 @@ def solve_equilibrium(inst: Instance, extra: Iterable[int] = ()) -> EquilibriumP
     The returned opinions satisfy the balance equations to a residual
     infinity-norm of ``1e-10 * max(1, d_max)``; a worse residual raises
     :class:`SolverConvergenceError` rather than returning a truncated answer.
+    The engine rejects target ids that are out of range, repeated or already
+    hold a plus link.
     """
-    targets = inst.check_extra(extra)
-    x, f = inst.solver._evaluate(tuple(targets))
-    return EquilibriumProfile(opinions=x, objective=f, target_set=targets)
+    extra = tuple(int(v) for v in extra)
+    x, f = inst.solver._evaluate(extra)
+    return EquilibriumProfile(opinions=x, objective=f, target_set=frozenset(extra))
 
 
-def _augmented_laplacian(inst: Instance, targets: frozenset[int]) -> sp.csc_matrix:
+def _augmented_laplacian(inst: Instance, targets: np.ndarray) -> sp.csc_matrix:
     """Laplacian of the graph augmented with the plus source (node n) and the
     minus source (node n + 1).
 
@@ -119,7 +108,7 @@ def _augmented_laplacian(inst: Instance, targets: frozenset[int]) -> sp.csc_matr
     """
     n = inst.graph.node_count
     graph_edges = sp.triu(inst.graph.adjacency_csr(), k=1).tocoo()
-    plus = sorted(inst.plus_base | targets)
+    plus = sorted(inst.plus_base.union(targets.tolist()))
     minus = sorted(inst.minus_set)
     u = np.concatenate((graph_edges.row, plus, minus)).astype(np.int64)
     v = np.concatenate(
@@ -142,7 +131,7 @@ def verify_electrical(inst: Instance, extra: Iterable[int],
     the fixed-potential problem (zero net current at every regular node); the
     check passes iff they match the profile entrywise within ``ELECTRICAL_ATOL``.
     """
-    lap = _augmented_laplacian(inst, inst.check_extra(extra))
+    lap = _augmented_laplacian(inst, inst.solver._extra_index(extra))
     n = inst.graph.node_count
     # The sources' fixed potentials (+1, -1) move to the right-hand side.
     rhs = -(lap[:n, n:] @ np.array([1.0, -1.0]))

@@ -246,7 +246,7 @@ _FAMILIES = {
         preset=dict(n=(400,), a=tuple(x / 2 for x in range(3, 21)), trials=50,
                     k_plus=5, minus_count=3),
         cells=_er_cells,
-        sample=lambda n, p, *seed: sample_connected_er(n, p, *seed),
+        sample=sample_connected_er,
         heuristics=("degree", "greedy", "blocking"),
     ),
     # Tree descent vs exhaustive search on Poisson branching trees.
@@ -268,7 +268,7 @@ _FAMILIES = {
         preset=dict(n=(100, 200, 300, 400, 500, 600, 700, 800),
                     a=(1.5, 3.0, 4.5, 6.0), trials=50, k_plus=1, minus_count=1),
         cells=_er_cells,
-        sample=lambda n, p, *seed: sample_connected_er(n, p, *seed),
+        sample=sample_connected_er,
         heuristics=("climb",),
         reference="brute",
         success=success,
@@ -282,7 +282,7 @@ _FAMILIES = {
         cells=lambda cfg: (
             (n, None, None, _OTP_EDGE_P if cfg.edge_p is None else cfg.edge_p, (n,))
             for n in cfg.n),
-        sample=lambda n, p, *seed: sample_connected_er(n, p, *seed),
+        sample=sample_connected_er,
         heuristics=("climb-multi",),
         reference="greedy",
         uses=("edge_p",),

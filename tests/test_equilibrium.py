@@ -78,9 +78,22 @@ class TestSolveEquilibrium:
             solve_equilibrium(inst)
 
     def test_extra_overlapping_plus_base_rejected(self):
+        # Pre-placed, repeated and out-of-range targets all fail the engine's
+        # id rule, in the solve and in the electrical check alike.
         inst = Instance(generate_line(3), frozenset({0}), frozenset({1}), budget=1)
-        with pytest.raises(ValueError, match="already hold"):
-            solve_equilibrium(inst, {1})
+        prof = solve_equilibrium(inst, {2})
+        for extra, message in [({1}, "already hold"), ([2, 2], "must not repeat"),
+                               ([3], "must lie in")]:
+            with pytest.raises(ValueError, match=message):
+                solve_equilibrium(inst, extra)
+            with pytest.raises(ValueError, match=message):
+                verify_electrical(inst, extra, prof)
+
+    def test_out_of_range_base_ids_rejected(self):
+        line = generate_line(3)
+        for minus, plus in [({3}, set()), ({0}, {-1})]:
+            with pytest.raises(ValueError, match="node ids must lie in"):
+                Instance(line, frozenset(minus), frozenset(plus), budget=0)
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(ValueError, match="connected"):

@@ -125,13 +125,13 @@ class TestErEdgeProbability:
         # a * ln(n) / n = 1.498 for n = 20, a = 10: the family used to pass it
         # to the generator uncapped, which rejected it.
         drawn = []
-        sample = experiments.sample_connected_er
+        generate = experiments.generate_erdos_renyi
 
         def record(*args):
-            drawn.append(sample(*args))
+            drawn.append(generate(*args))
             return drawn[-1]
 
-        monkeypatch.setattr(experiments, "sample_connected_er", record)
+        monkeypatch.setattr(experiments, "generate_erdos_renyi", record)
         rows = run_experiment(default_config("er-blocking", n=(20,), a=(10.0,), trials=1))
         assert [r.algorithm for r in rows] == ["degree", "greedy", "blocking"]
         assert drawn[0] == generate_complete(20)
