@@ -30,17 +30,19 @@ backend or on how ``M`` was factorized.
 Backends: ``M^-1`` is one object: up to ``DENSE_CUTOFF`` nodes the dense
 inverse by LAPACK Cholesky (``dpotrf``, then ``dpotri``, its upper triangle
 copied down in blocks of ``_MIRROR_BLOCK`` columns), with ``M`` assembled,
-factored and inverted in one n x n array; above it a :class:`_SparseInverse`
-over ``P M P^T = L D L^T`` by Kron reduction (:class:`_KronFactor`).
+factored and inverted in one n x n array; above it the factor
+``P M P^T = L D L^T`` by Kron reduction, :class:`_KronFactor`, which is
+itself ``M^-1`` with ``@``, ``[:, idx]`` and ``.diagonal()``.
 Eliminating nodes of the resistor network is a Schur complement, done one
 level of independent low-degree nodes at a time, each level one sparse
 product; on the M-matrix ``M`` its entries and pivots are sums of
 nonnegative terms (GTH-style), so nothing cancels. When levels get thin or
 the Schur complement gets dense, the rest, the tail, is inverted by the
 dense backend's own kernel, and that inverse ``S_T^-1`` is kept. Its ``@``
-is a solve (one sparse product per level each way and one dense product
-with ``S_T^-1``) with one refinement step, and ``[:, idx]`` one such block
-solve of unit columns, not kept.
+is one solve (one sparse product per level each way and one dense product
+with ``S_T^-1``), and ``[:, idx]`` one such block solve of unit columns,
+not kept. Neither backend refines its solves: the objective's ``w_A^T r``
+term is the one accuracy step.
 ``.diagonal()`` (for gain sweeps) is selected inversion on the factor
 (Takahashi, Fagan & Chin 1973): ``Z = (L D L^T)^-1`` is computed only on the
 pattern of ``L`` by
@@ -54,9 +56,9 @@ elimination level at a time, last level first: the chordal fill puts every
 entry column j reads in the columns of later levels, so the columns of one
 level are independent, and each level is a few numpy gathers and
 ``bincount`` calls over its pairs of rows of ``s``, chunked to
-``_TAIL_BLOCK`` columns. A fixed probe of ``_DIAG_PROBE`` refined
-unit-column solves, for the nodes eliminated first (which the
-recurrence reaches last), with their residuals in ``np.longdouble``, must
+``_TAIL_BLOCK`` columns. A fixed probe of ``_DIAG_PROBE`` unit-column
+solves, for the nodes eliminated first (which the recurrence reaches
+last), each entry corrected by its residual in ``np.longdouble``, must
 agree with the selected entries, so a bad factor still raises. A sweep
 reads only the factor, so it does not depend on which evaluations ran
 before.
@@ -233,12 +235,20 @@ class _KronFactor:
     the unit lower-triangular CSC of the ``bounds[-1]`` level columns of
     ``L``, ``d`` their pivots, and ``z_tail`` the dense symmetric inverse
     ``S_T^-1`` of the Schur complement left.
+
+    The factor is ``M^-1`` as far as the solver uses it: ``@`` and
+    ``[:, idx]`` are one :meth:`solve` each, and ``.diagonal()`` is
+    selected inversion with its probe. It keeps ``M`` as ``_diag`` and
+    ``_adj`` and no reference to the solver, so it is freed with the
+    solver, without waiting for the cyclic garbage collector.
     """
 
     def __init__(self, w, a: np.ndarray):
         n = a.size
         ids = np.arange(n)
         a = a.astype(np.float64)
+        self._adj = w
+        self._diag = a + np.asarray(w.sum(axis=1)).ravel()
         levels = []
         while True:
             m = ids.size
@@ -294,6 +304,36 @@ class _KronFactor:
             b[p0:p1] += f.T @ b[p1:]
         return b[self.pos].reshape(rhs.shape)
 
+
+    def _apply_m(self, x: np.ndarray) -> np.ndarray:
+        """``M x`` for a vector or a block of columns."""
+        return (self._diag * x.T).T - self._adj @ x
+
+    def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
+        return self.solve(rhs)
+
+    def __getitem__(self, key) -> np.ndarray:
+        _, idx = key  # [:, idx], recomputed on every call
+        return self.solve(_unit_columns(self.pos.size, idx))
+
+    def diagonal(self) -> np.ndarray:
+        _check_pivots(self.d)
+        diag = _selected_diagonal(self.head, self.d, self.bounds, self.z_tail)[self.pos]
+        # Probe: unit-column solves for the nodes eliminated first. Each
+        # entry gets the scalar form of one refinement step: since M is
+        # symmetric, e_j^T M^-1 r_j = x_j^T r_j for the column x_j and its
+        # residual r_j, which is second-order accurate like the full step.
+        # The residual is in np.longdouble: the entries of M^-1 grow with n
+        # (to n on a path), and a float64 residual would round them away.
+        probe = np.flatnonzero(self.pos < _DIAG_PROBE)
+        eye = _unit_columns(self.pos.size, probe)
+        cols = self.solve(eye)
+        res = eye - self._apply_m(cols.astype(np.longdouble))
+        tol = _tolerance(float(self._diag.max()))
+        _check(float(np.abs(res).max()), tol, "diagonal solve")
+        refined = cols[probe, np.arange(probe.size)] + np.einsum("ij,ij->j", cols, res)
+        _check(float(np.abs(refined - diag[probe]).max()), tol, "selected inversion probe")
+        return diag
 
 def _selected_diagonal(l, d: np.ndarray, bounds: list, z_tail: np.ndarray) -> np.ndarray:
     """``diag(M^-1)`` in elimination order from a :class:`_KronFactor`: its
@@ -367,56 +407,6 @@ def _selected_diagonal(l, d: np.ndarray, bounds: list, z_tail: np.ndarray) -> np
     return np.concatenate((z[ptr[:-1]], z_tail.diagonal()))
 
 
-class _SparseInverse:
-    """``M^-1`` of a sparse SPD ``M`` as far as the solver uses it: ``@``,
-    ``[:, idx]`` and ``.diagonal()``, from a :class:`_KronFactor`. One step
-    of iterative refinement keeps large sparse solves near machine
-    precision, which downstream 1e-12 cross-checks rely on. The factor is
-    read through ``solve``, ``perm``, ``pos``, ``bounds``, ``head``, ``d``
-    and ``z_tail``. It keeps ``M`` as ``diag`` and ``adj`` and no reference
-    to the solver, so it is freed with the solver, without waiting for the
-    cyclic garbage collector."""
-
-    def __init__(self, adj, diag: np.ndarray, grounding: np.ndarray):
-        self._factor = _KronFactor(adj, grounding)
-        self._adj = adj
-        self._diag = diag
-        self._n = diag.size
-        self._d_max = float(diag.max())
-
-    def _apply_m(self, x: np.ndarray) -> np.ndarray:
-        """``M x`` for a vector or a block of columns."""
-        return (self._diag * x.T).T - self._adj @ x
-
-    def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._factor.solve(rhs)
-        return x + self._factor.solve(rhs - self._apply_m(x))
-
-    def __getitem__(self, key) -> np.ndarray:
-        _, idx = key  # [:, idx], recomputed on every call
-        return self @ _unit_columns(self._n, idx)
-
-    def diagonal(self) -> np.ndarray:
-        f = self._factor
-        _check_pivots(f.d)
-        diag = _selected_diagonal(f.head, f.d, f.bounds, f.z_tail)[f.pos]
-        # Probe: refined unit-column solves for the nodes eliminated first.
-        # Each entry gets the scalar form of one refinement step: since M is
-        # symmetric, e_j^T M^-1 r_j = x_j^T r_j for the column x_j and its
-        # residual r_j, which is second-order accurate like the full step.
-        # The residual is in np.longdouble: the entries of M^-1 grow with n
-        # (to n on a path), and a float64 residual would round them away.
-        probe = np.flatnonzero(f.pos < _DIAG_PROBE)
-        eye = _unit_columns(self._n, probe)
-        cols = f.solve(eye)
-        res = eye - self._apply_m(cols.astype(np.longdouble))
-        tol = _tolerance(self._d_max)
-        _check(float(np.abs(res).max()), tol, "diagonal solve")
-        refined = cols[probe, np.arange(probe.size)] + np.einsum("ij,ij->j", cols, res)
-        _check(float(np.abs(refined - diag[probe]).max()), tol, "selected inversion probe")
-        return diag
-
-
 class OpinionSolver:
     """Evaluator for one fixed base: graph + minus set + pre-placed plus set.
 
@@ -444,7 +434,7 @@ class OpinionSolver:
             return
         # M in its backend's format: a sparse M costs more than a small dense inverse.
         self._inv = (_dense_inverse(self._adj, self.base_diag) if self.dense
-                     else _SparseInverse(self._adj, self.base_diag, plus_links + minus_links))
+                     else _KronFactor(self._adj, plus_links + minus_links))
         self._x0 = self._inv @ self.rhs0
         self._w0 = self._inv @ np.ones(n)
         # Right-hand sides of the Woodbury step for x and w, gathered per call.

@@ -4,21 +4,20 @@ import pytest
 from optarget import Graph
 
 
-class CountingFactor:
-    """Proxy for the sparse backend's L D L^T factor that counts its
-    ``solve`` calls and passes every other attribute (``perm``, ``pos``,
-    ``bounds``, ``head``, ``d``, ``z_tail``) through."""
+def record_solves(monkeypatch, factor) -> list[int]:
+    """Patch the sparse backend's ``factor.solve`` to record the column
+    count of each right-hand side it gets; the list's length counts the
+    solves. The factor does not refine a solve, so each of its ``@`` and
+    ``[:, idx]`` adds one entry."""
+    widths = []
+    solve = factor.solve
 
-    def __init__(self, factor):
-        self.factor = factor
-        self.solves = 0
+    def recorded(rhs):
+        widths.append(1 if rhs.ndim == 1 else rhs.shape[1])
+        return solve(rhs)
 
-    def solve(self, rhs):
-        self.solves += 1
-        return self.factor.solve(rhs)
-
-    def __getattr__(self, name):
-        return getattr(self.factor, name)
+    monkeypatch.setattr(factor, "solve", recorded)
+    return widths
 
 
 def star_graph(leaves: int) -> Graph:

@@ -87,6 +87,12 @@ class TestCompleteOtp:
     def test_infeasible_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             complete_otp(5, 2, 1, 1, 3)  # only 1 free + 1 opposing node left
+        for args, message in [((5, 0, 1, 0, -1), "k_plus must be >= 0"),
+                              ((0, 0, 0, 0, 0), "n must be >= 1"),
+                              ((5, -1, 1, 0, 1), "class sizes must be nonnegative"),
+                              ((5, 3, 2, 1, 1), "class sizes exceed the node count")]:
+            with pytest.raises(ValueError, match=message):
+                complete_otp(*args)
 
     def test_matches_exhaustive_enumeration(self):
         # Independent oracle: enumerate every feasible target set on the
@@ -138,6 +144,16 @@ class TestLineObjective:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             line_objective(LineConfig(5, 1), 6)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            LineConfig(0, 1)
+        with pytest.raises(ValueError, match=r"ell must be in \[1, 5\]"):
+            LineConfig(5, 6)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            line_optimal_k(LineConfig(1, 1))
+        t = tree_view(generate_line(5), 0)
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="k out of range"):
+                tree_path_objective(t, k)
 
 
 class TestLineOptimalK:

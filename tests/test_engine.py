@@ -18,15 +18,7 @@ from optarget import (
     verify_electrical,
 )
 from optarget.engine import OpinionSolver, SolverConvergenceError
-from conftest import CountingFactor, random_connected_graph, random_tree, star_graph
-
-
-class TamperedFactor(CountingFactor):
-    """A factor proxy with some of its attributes replaced."""
-
-    def __init__(self, factor, **attrs):
-        super().__init__(factor)
-        self.__dict__.update(attrs)
+from conftest import random_connected_graph, random_tree, record_solves, star_graph
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +45,7 @@ class TestBackendChoice:
 
     def test_sparse_one_above_the_cutoff(self, graph):
         solver = OpinionSolver(graph, (3,), (7,), dense_cutoff=graph.node_count - 1)
-        assert not solver.dense and isinstance(solver._inv, engine._SparseInverse)
+        assert not solver.dense and isinstance(solver._inv, engine._KronFactor)
 
     @pytest.mark.parametrize("below", [0, 1], ids=["dense", "sparse"])
     def test_unanchored_builds_neither(self, graph, below):
@@ -162,49 +154,41 @@ class TestSparseDiagonalPass:
         # every column, the diagonal pass it replaces.
         sparse.gains(())
         eye = np.eye(sparse.n)
-        cols = sparse._inv._factor.solve(eye)
-        cols += sparse._inv._factor.solve(eye - (sparse.base_diag[:, None] * cols
-                                                 - sparse._adj @ cols))
+        cols = sparse._inv.solve(eye)
+        cols += sparse._inv.solve(eye - (sparse.base_diag[:, None] * cols - sparse._adj @ cols))
         np.testing.assert_allclose(sparse._g0, np.diag(cols), rtol=1e-12, atol=0)
 
-    def test_first_sweep_solves_only_the_probe(self):
+    def test_first_sweep_solves_only_the_probe(self, monkeypatch):
         # Selected inversion reads the factor itself; the one solve is the
         # block of probe columns, however many nodes there are.
         g = random_connected_graph(600, 0.01, np.random.default_rng(6))
         solver = OpinionSolver(g, (3, 40), (7,), dense_cutoff=0)
-        solver._inv._factor = factor = CountingFactor(solver._inv._factor)
+        widths = record_solves(monkeypatch, solver._inv)
         solver.gains(())
-        assert factor.solves == 1
+        assert len(widths) == 1
 
     @pytest.mark.parametrize("chunk", [256, 32])
     def test_one_solve_per_chunk(self, sparse, monkeypatch, chunk):
-        # The refined probe is one block of min(chunk, n) unit columns, solved
-        # at once, whether or not it covers every node.
+        # The probe is one block of min(chunk, n) unit columns, solved at
+        # once, whether or not it covers every node.
         monkeypatch.setattr(engine, "_DIAG_PROBE", chunk)
-        widths = []
-
-        class WidthFactor(CountingFactor):
-            def solve(self, rhs):
-                widths.append(rhs.shape[1])
-                return super().solve(rhs)
-
-        sparse._inv._factor = WidthFactor(sparse._inv._factor)
+        widths = record_solves(monkeypatch, sparse._inv)
         sparse.gains(())
         assert widths == [min(chunk, sparse.n)]
 
-    def test_non_positive_pivot_raises(self, sparse):
-        factor = sparse._inv._factor
-        d = factor.d.copy()
+    def test_non_positive_pivot_raises(self, sparse, monkeypatch):
+        d = sparse._inv.d.copy()
         d[d.size // 2] *= -1.0
-        sparse._inv._factor = TamperedFactor(factor, d=d)
+        monkeypatch.setattr(sparse._inv, "d", d)
         with pytest.raises(SolverConvergenceError, match="pivot"):
             sparse.gains(())
 
-    def test_wrong_factor_fails_the_probe(self, sparse):
+    def test_wrong_factor_fails_the_probe(self, sparse, monkeypatch):
         # Pivots that are positive but wrong give a wrong selected diagonal,
-        # which the refined probe columns do not confirm.
-        factor = sparse._inv._factor
-        sparse._inv._factor = TamperedFactor(factor, d=1.5 * factor.d)
+        # which the probe columns, solved with the true factor, do not confirm.
+        selected = engine._selected_diagonal
+        monkeypatch.setattr(engine, "_selected_diagonal",
+                            lambda l, d, bounds, z_tail: selected(l, 1.5 * d, bounds, z_tail))
         with pytest.raises(SolverConvergenceError, match="selected inversion probe"):
             sparse.gains(())
 
@@ -214,7 +198,7 @@ class TestSparseDiagonalPass:
         # probe's longdouble M x upcasts a CSR as large as that array.
         g = generate_erdos_renyi(1200, 12 / 1199, seed=4)
         solver = OpinionSolver(g, (3, 40), (7,), dense_cutoff=0)
-        t = g.node_count - solver._inv._factor.bounds[-1]
+        t = g.node_count - solver._inv.bounds[-1]
         tracemalloc.start()
         try:
             solver.gains(())
@@ -282,7 +266,7 @@ class TestLevelPass:
         # exact diagonal: node i's resistance to the anchor at node 1500, plus 1.
         solver = self.check(generate_line(3000), minus=(1500,),
                             expected=np.abs(np.arange(3000) - 1500) + 1.0)
-        assert len(solver._inv._factor.bounds) - 1 <= math.log(3000, 1.5)
+        assert len(solver._inv.bounds) - 1 <= math.log(3000, 1.5)
 
     def test_entry_keys_beyond_int32(self):
         # Above n = 46340 a key column * n + row no longer fits the factor's
@@ -301,14 +285,14 @@ class TestLevelPass:
         expected = np.full(600, 3.0)
         expected[[0, 5]] = 2.0, 1.0
         solver = self.check(star_graph(599), minus=(5,), expected=expected)
-        assert solver._inv._factor.bounds == [0, 599]
+        assert solver._inv.bounds == [0, 599]
 
     def test_complete_graph_has_no_head(self):
         # With no level the tail is all of M, and its inverse comes from the
         # dense backend's kernel: the 0/1 row sums give the same integer
         # pivots, so the bits are the same.
         solver = self.check(generate_complete(30))
-        factor = solver._inv._factor
+        factor = solver._inv
         assert factor.bounds == [0]
         assert np.array_equal(factor.z_tail,
                               engine._dense_inverse(solver._adj, solver.base_diag))
@@ -320,7 +304,7 @@ class TestLevelPass:
 
     def test_unsorted_rows_give_the_same_diagonal(self):
         solver = self.check(random_connected_graph(300, 0.02, np.random.default_rng(4)))
-        factor = solver._inv._factor
+        factor = solver._inv
         l = factor.head.sorted_indices()
         shuffled = l.copy()
         rng = np.random.default_rng(0)

@@ -102,6 +102,8 @@ class TestSolveEquilibrium:
     def test_budget_above_free_nodes_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             Instance(generate_line(3), frozenset({0}), frozenset({1}), budget=3)
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            Instance(generate_line(3), frozenset({0}), budget=-1)
 
     def test_opinions_stay_in_unit_interval(self, rng):
         for _ in range(30):

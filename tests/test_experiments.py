@@ -113,6 +113,8 @@ class TestConfig:
     def test_negative_minus_count_rejected(self):
         with pytest.raises(ValueError, match="minus_count must be >= 0"):
             default_config("er-blocking", minus_count=-1)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            default_config("er-blocking", trials=0)
 
 
 class TestErEdgeProbability:
@@ -267,7 +269,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"3"' in out and "0.36" in out
 
-    def test_generate_er_and_tree(self, tmp_path):
+    def test_generate_er_and_tree(self, tmp_path, capsys):
         er = tmp_path / "er.txt"
         assert self.run("generate", "--kind", "er", "--n", "50", "--a", "4",
                         "--seed", "3", "--out", str(er)) == 0
@@ -277,6 +279,16 @@ class TestCli:
                         "3", "--seed", "3", "--out", str(tree)) == 0
         g = load_edge_list(tree)
         assert g.edge_count == g.node_count - 1
+        complete = tmp_path / "complete.txt"
+        assert self.run("generate", "--kind", "complete", "--n", "6",
+                        "--out", str(complete)) == 0
+        assert load_edge_list(complete) == generate_complete(6)
+        capsys.readouterr()
+        for kind, missing in [("er", "--a"), ("tree", "--lambda")]:
+            assert self.run("generate", "--kind", kind, "--n", "10",
+                            "--out", str(tmp_path / "none.txt")) == 1
+            assert capsys.readouterr().err == f"error: --kind {kind} needs {missing}\n"
+        assert not (tmp_path / "none.txt").exists()
 
     def test_solve_degree_on_star(self, tmp_path, capsys):
         star = tmp_path / "star.txt"
@@ -308,13 +320,17 @@ class TestCli:
         assert len(rows) == 2
         assert all(line.split(",")[5] == "2" for line in rows)
 
-    def test_experiment_to_file(self, tmp_path):
+    def test_experiment_to_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
-        code = self.run("experiment", "--experiment", "er-treelike",
-                        "--n", "30", "--a", "3", "--trials", "1",
-                        "--seed", "5", "--out", str(out))
+        argv = ("experiment", "--experiment", "er-treelike", "--n", "30", "--a", "3",
+                "--trials", "1", "--seed", "5")
+        code = self.run(*argv, "--out", str(out))
         assert code == 0
         assert out.read_text().startswith("experiment,")
+        capsys.readouterr()
+        # Without --out the same CSV goes to stdout.
+        assert self.run(*argv) == 0
+        assert strip_wall_time(capsys.readouterr().out) == strip_wall_time(out.read_text())
 
     def test_missing_file_is_io_error(self, capsys):
         assert self.run("solve", "--graph", "no-such-file.txt", "--minus", "0",

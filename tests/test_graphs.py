@@ -36,6 +36,10 @@ class TestGraphConstruction:
     def test_rejects_out_of_range_ids(self):
         with pytest.raises(ValueError, match="outside"):
             Graph(3, [(0, 3)])
+        with pytest.raises(ValueError, match="node_count must be >= 1"):
+            Graph(0, [])
+        with pytest.raises(ValueError, match=r"edges must be \(u, v\) pairs"):
+            Graph(3, [(0, 1, 2)])
 
     @pytest.mark.parametrize("edge", [(0, 1.7), (0.5, 2), (0, math.nan), (0, math.inf)])
     def test_rejects_non_integer_ids(self, edge):
@@ -83,6 +87,15 @@ class TestErdosRenyi:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             generate_erdos_renyi(5, 1.5, seed=1)
+        # The other generator parameters are checked the same way.
+        for make, message in [(lambda: generate_erdos_renyi(0, 0.5, seed=1), "n must be >= 1"),
+                              (lambda: generate_complete(0), "n must be >= 1"),
+                              (lambda: generate_line(0), "n must be >= 1"),
+                              (lambda: generate_poisson_tree(0.0, 10, seed=1), "lam must be > 0"),
+                              (lambda: generate_poisson_tree(3.0, 0, seed=1),
+                               "max_nodes must be >= 1")]:
+            with pytest.raises(ValueError, match=message):
+                make()
 
     def test_same_seed_same_graph(self):
         a = generate_erdos_renyi(40, 0.2, seed=99)
@@ -305,6 +318,9 @@ class TestTreeView:
             tree_view(Graph(4, [(0, 1), (2, 3), (1, 2), (0, 2)]), root=0)
         with pytest.raises(NotATreeError):
             tree_view(Graph(4, [(0, 1), (2, 3), (1, 2), (0, 2)][:2]), root=0)
+        for root in (-1, 3):
+            with pytest.raises(ValueError, match=rf"root {root} outside \[0, 3\)"):
+                tree_view(generate_line(3), root=root)
 
     @pytest.mark.parametrize("root", [0, 1500])
     def test_long_path(self, root):

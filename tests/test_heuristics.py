@@ -23,9 +23,10 @@ from optarget import (
     tree_descent,
     tree_view,
 )
+from optarget import heuristics
 from optarget.engine import DENSE_CUTOFF, OpinionSolver
 from optarget.heuristics import SCORE_TIE_TOL
-from conftest import CountingFactor, random_connected_graph, random_tree, star_graph
+from conftest import random_connected_graph, random_tree, record_solves, star_graph
 
 
 def line_instance(n=10, minus=0, budget=1):
@@ -72,17 +73,15 @@ class TestBruteForce:
             brute_force(inst)
         assert "solver" not in inst.__dict__
 
-    def test_sparse_budget_two_solves_once_per_sweep(self, rng):
+    def test_sparse_budget_two_solves_once_per_sweep(self, rng, monkeypatch):
         # Budget 2 on 100 nodes scores every pair: one probe solve for the
-        # diagonal, then one refined column solve (two factor solves) per
-        # singleton's sweep and for the final profile, and still the dense
-        # optimum.
+        # diagonal, then one column solve per singleton's sweep and one for
+        # the final profile, and still the dense optimum.
         g = random_connected_graph(100, 0.04, rng)
         inst = on_backend(Instance(g, frozenset({3, 50}), budget=2), "sparse")
-        inst.solver._inv._factor = factor = CountingFactor(inst.solver._inv._factor)
+        widths = record_solves(monkeypatch, inst.solver._inv)
         out = brute_force(inst)
-        bound = 1 + 2 * (len(inst.candidates) + 1)
-        assert factor.solves <= bound
+        assert len(widths) == 1 + len(inst.candidates) + 1
         expected = brute_force(Instance(g, frozenset({3, 50}), budget=2))
         assert out.chosen_set == expected.chosen_set
         assert out.objective == pytest.approx(expected.objective, abs=1e-12)
@@ -361,6 +360,12 @@ class TestTreeDescent:
                           backend)
         with pytest.raises(ValueError):
             tree_descent(inst)
+        for plus, budget, message in [({2}, 1, "no pre-placed plus links"),
+                                      ((), 2, "single-target problem only")]:
+            inst = on_backend(Instance(generate_line(5), frozenset({0}), frozenset(plus),
+                                       budget=budget), backend)
+            with pytest.raises(ValueError, match=message):
+                tree_descent(inst)
 
     def test_exact_on_random_trees(self, rng, backend):
         for trial in range(40):
@@ -446,6 +451,36 @@ class TestHillClimb:
     def test_budget_must_be_one(self, backend):
         with pytest.raises(ValueError):
             hill_climb(on_backend(line_instance(budget=2), backend))
+        line = on_backend(line_instance(), backend)
+        zero = on_backend(line_instance(budget=0), backend)
+        no_minus = on_backend(Instance(generate_line(5), frozenset(), frozenset({1})), backend)
+        # The root and its only neighbour already hold plus links, so the
+        # walk scores no node.
+        enclosed = on_backend(Instance(generate_line(3), frozenset({0}), frozenset({0, 1})),
+                              backend)
+        for call, message in [
+                (lambda: hill_climb(zero), "single-target problem only"),
+                (lambda: hill_climb(no_minus), "no minus attachment"),
+                (lambda: hill_climb(line, root=10), "root 10 out of range"),
+                (lambda: hill_climb(line, root=-1), "root -1 out of range"),
+                (lambda: hill_climb(enclosed), "no candidate reachable from a pre-targeted root"),
+                (lambda: hill_climb_multi(zero), "budget must be >= 1"),
+                (lambda: hill_climb_multi(no_minus), "no minus attachment")]:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_pre_targeted_root_falls_back_to_a_scored_neighbour(self, backend, monkeypatch):
+        # Node 2 gains more than node 1, but with every gain inside the tie
+        # tolerance the walk never leaves the pre-targeted root, and the
+        # fallback takes the smallest neighbour it scored.
+        g = Graph(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
+        inst = on_backend(Instance(g, frozenset({0}), frozenset({0})), backend)
+        gains = inst.solver.gains(())
+        assert 0 < gains[1] < gains[2]
+        monkeypatch.setattr(heuristics, "SCORE_TIE_TOL", 2 * max(gains[1:]))
+        out = hill_climb(inst)
+        assert out.chosen_set == {1}
+        assert out.visited_nodes == 2
 
     def test_not_worse_than_max_degree_rooting(self, rng, backend):
         # Paired comparison on sparse graphs: rooting at the opponent's most
