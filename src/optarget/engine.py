@@ -11,57 +11,27 @@ every candidate target set is evaluated through low-rank corrections:
     x_A = x0 + Z C^-1 (1 - x0[A]),   C = I + (M^-1)[A, A],  Z = M^-1[:, A]
 
 which gives the profile without re-solving (``C`` is factored once per call,
-by one LAPACK ``dgesv`` for all of its right-hand sides).
-Target-set sweeps (the inner loop of every search heuristic) therefore cost
-O(|A|^3) per evaluation after an O(N^3) or sparse factorization done once
-per base.
+by one LAPACK ``dgesv`` for all of its right-hand sides). Target-set sweeps
+therefore cost O(|A|^3) per evaluation after one factorization per base.
 
 The objective is the profile's mean after one step of iterative refinement,
-taken at the cost of a dot product: with the residual ``r = s_A - M_A x``
-computed once in ``np.longdouble`` (it also feeds the residual rule) and
-``w_A = M_A^-1 1 = w0 - Z C^-1 w0[A]``, the vector a gain sweep forms anyway,
-
-    F = (fsum(x) + w_A^T r) / n,
-
-since ``1^T M_A^-1 r = w_A^T r`` for the symmetric ``M_A``. Its error is of
-the second order in the solver's, so its printed digits do not depend on the
+``F = (fsum(x) + w_A^T r) / n`` at the cost of a dot product (see
+:meth:`OpinionSolver._evaluate`), so its printed digits do not depend on the
 backend or on how ``M`` was factorized.
 
-Backends: ``M^-1`` is one object: up to ``DENSE_CUTOFF`` nodes the dense
-inverse by LAPACK Cholesky (``dpotrf``, then ``dpotri``, its upper triangle
-copied down in blocks of ``_MIRROR_BLOCK`` columns), with ``M`` assembled,
-factored and inverted in one n x n array; above it the factor
-``P M P^T = L D L^T`` by Kron reduction, :class:`_KronFactor`, which is
-itself ``M^-1`` with ``@``, ``[:, idx]`` and ``.diagonal()``.
-Eliminating nodes of the resistor network is a Schur complement, done one
-level of independent low-degree nodes at a time, each level one sparse
-product; on the M-matrix ``M`` its entries and pivots are sums of
-nonnegative terms (GTH-style), so nothing cancels. When levels get thin or
-the Schur complement gets dense, the rest, the tail, is inverted by the
-dense backend's own kernel, and that inverse ``S_T^-1`` is kept. Its ``@``
-is one solve (one sparse product per level each way and one dense product
-with ``S_T^-1``), and ``[:, idx]`` one such block solve of unit columns,
-not kept. Neither backend refines its solves: the objective's ``w_A^T r``
-term is the one accuracy step.
-``.diagonal()`` (for gain sweeps) is selected inversion on the factor
-(Takahashi, Fagan & Chin 1973): ``Z = (L D L^T)^-1`` is computed only on the
-pattern of ``L`` by
-
-    Z[s, j] = -Z[s, s] L[s, j],   Z[j, j] = 1/d_j - L[s, j]^T Z[s, j]
-
-for the below-diagonal pattern ``s`` of column j. The tail's ``Z`` is the
-kept ``S_T^-1``; its part of every head column's ``Z[s, s] L[s, j]`` is one
-sparse-dense product per ``_TAIL_BLOCK`` columns. The head is walked one
-elimination level at a time, last level first: the chordal fill puts every
-entry column j reads in the columns of later levels, so the columns of one
-level are independent, and each level is a few numpy gathers and
-``bincount`` calls over its pairs of rows of ``s``, chunked to
-``_TAIL_BLOCK`` columns. A fixed probe of ``_DIAG_PROBE`` unit-column
-solves, for the nodes eliminated first (which the recurrence reaches
-last), each entry corrected by its residual in ``np.longdouble``, must
-agree with the selected entries, so a bad factor still raises. A sweep
-reads only the factor, so it does not depend on which evaluations ran
-before.
+``M^-1`` is one object at every size, :class:`_KronFactor`: the factor
+``P M P^T = L D L^T`` by Kron reduction, one level of independent
+low-degree nodes at a time, each a Schur complement whose entries and
+pivots are sums of nonnegative terms (GTH-style), so nothing cancels. The
+first level is taken only if the dense work it saves pays for the fixed
+cost of a factor with levels (``_FACTOR_WORK``), so that rule alone picks
+the backend. The rest, the tail, is inverted by LAPACK Cholesky and kept;
+with no level the factor is the dense inverse of ``M`` itself. With
+levels, ``solve`` and ``columns`` are one solve each, and ``diagonal`` (for
+gain sweeps) is selected inversion on the factor, checked by a probe of
+``_DIAG_PROBE`` unit-column solves; a sweep reads only the factor, so it
+does not depend on which evaluations ran before. No solve is refined: the
+objective's ``w_A^T r`` term is the one accuracy step.
 A residual above ``RESIDUAL_RTOL * max(1, d_max)`` in the base solve, the
 diagonal probe or a returned profile (every objective is computed from one),
 a probe that disagrees by more, a pivot ``d_j <= 0`` or a failed dense
@@ -83,16 +53,17 @@ from scipy.linalg import lapack
 
 from .graphs import Graph, degrees
 
-DENSE_CUTOFF = 2000
 RESIDUAL_RTOL = 1e-10
 _DIAG_PROBE = 32
 # Kron reduction (see _KronFactor). A level takes nodes within _LEVEL_SLACK
-# of the minimum degree. Levels stop at one that is thin, taking fewer than
-# 1/_THIN_LEVEL of the m nodes left while the dense work it saves, about
-# |level| m^2 flops, is below _LEVEL_WORK (about the cost of one level's
-# sparse products), or when the Schur complement is denser than
-# _DENSE_TAIL. _HASH is odd, so id * _HASH mod 2^32 is one-to-one.
+# of the minimum degree. The first one must save |level| n^2 >= _FACTOR_WORK
+# flops of dense work, the fixed cost of a factor with levels (1.3 ms on
+# 200-node trees, mostly selected inversion and probe, at the dense inverse's
+# 1.2e7 flops per ms at n = 400; rounded up). Later levels stop at a thin one
+# (under 1/_THIN_LEVEL of the m nodes left, |level| m^2 below _LEVEL_WORK)
+# or a Schur complement denser than _DENSE_TAIL. _HASH is odd: it permutes ids mod 2^32.
 _LEVEL_SLACK = 3
+_FACTOR_WORK = 2e7
 _THIN_LEVEL = 32
 _LEVEL_WORK = 1e7
 _DENSE_TAIL = 0.1
@@ -140,10 +111,9 @@ def _solve_small(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _dense_inverse(adj, d: np.ndarray) -> np.ndarray:
     """``M^-1`` for ``M = diag(d) - adj`` through its Cholesky factor (LAPACK
-    ``dpotrf``, then ``dpotri``), for the dense backend and the Kron tail.
-    M is assembled, factored and inverted in one n x n array: M is
-    symmetric, so its transpose is the Fortran-ordered matrix that LAPACK
-    overwrites."""
+    ``dpotrf``, then ``dpotri``), assembled, factored and inverted in one
+    n x n array: M is symmetric, so its transpose is the Fortran-ordered
+    matrix that LAPACK overwrites."""
     m = adj.toarray()
     np.subtract(0.0, m, out=m)  # -adj without -0.0 entries
     m.ravel()[::m.shape[0] + 1] = d
@@ -187,110 +157,138 @@ def _check_pivots(d: np.ndarray) -> None:
             f"sparse factor of an SPD matrix has a pivot d = {d.min():.3e} <= 0")
 
 
-def _level(w, ids: np.ndarray) -> np.ndarray:
-    """The next level of a Schur complement whose off-diagonal magnitudes
-    over the nodes ``ids`` are the CSR ``w``: each node within
+def _level(ptr: np.ndarray, col: np.ndarray, ids: np.ndarray, least: float) -> np.ndarray:
+    """The next level of a Schur complement whose off-diagonal pattern over
+    the nodes ``ids`` is the CSR ``(ptr, col)``: each node within
     ``_LEVEL_SLACK`` of the minimum degree whose key (degree, then a fixed
-    hash of its id) is below the key of every such neighbour. Keys are
-    distinct, so no two nodes of a level are adjacent."""
-    deg = np.diff(w.indptr)
+    hash of its id) is below the key of every such neighbour, or none if
+    fewer than ``least`` nodes are that close. Keys are distinct, so no two
+    nodes of a level are adjacent."""
+    deg = np.diff(ptr)
+    low = deg <= deg.min() + _LEVEL_SLACK
+    if np.count_nonzero(low) < least:
+        return ids[:0]
     key = deg.astype(np.int64) << 32 | ids * _HASH % (1 << 32)
     never = np.iinfo(np.int64).max
-    key[deg > deg.min() + _LEVEL_SLACK] = never
+    key[~low] = never
     nearest = np.full(ids.size, never)
     linked = deg > 0
-    nearest[linked] = np.minimum.reduceat(key[w.indices], w.indptr[:-1][linked])
+    nearest[linked] = np.minimum.reduceat(key[col], ptr[:-1][linked])
     return np.flatnonzero(key < nearest)
 
 
-def _off_diagonal(s):
-    """The CSR ``s`` without its diagonal entries, in place."""
-    s.data[s.indices == np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))] = 0.0
-    s.eliminate_zeros()
-    return s
+def _eliminate(ptr: np.ndarray, col: np.ndarray, val: np.ndarray, a: np.ndarray,
+               h: np.ndarray) -> tuple:
+    """Eliminate the independent nodes ``h`` from ``diag(a + W 1) - W``, ``W``
+    the CSR ``(ptr, col, val)``; the pivots ``d_h`` are checked before any
+    division. Returns ``d_h``; ``F`` by neighbour runs, ``F[nb[e], h[k]] =
+    f[e]`` for ``e`` in ``[hptr[k], hptr[k + 1])``; the rest ``r``; and its
+    ``W'`` (a CSR with sorted rows) and ``a'``."""
+    deg = np.diff(ptr)
+    k = deg[h]
+    hptr = np.concatenate(([0], np.cumsum(k)))
+    run = _ranges(ptr[h], k)
+    nb, w_h = col[run], val[run]
+    owner = np.repeat(np.arange(h.size), k)
+    d_h = a[h] + np.bincount(owner, weights=w_h, minlength=h.size)
+    _check_pivots(d_h)
+    f = w_h * (1.0 / d_h)[owner]
+    rest = np.ones(a.size, dtype=bool)
+    rest[h] = False
+    r, new = np.flatnonzero(rest), np.cumsum(rest) - 1
+    # W_RR and the fill F[i, h] W[h, j] of each pair i != j of a run, summed by key.
+    row = np.repeat(np.arange(a.size), deg)
+    kept = rest[row] & rest[col]
+    p = np.repeat(np.arange(run.size), k[owner])
+    q = _ranges(hptr[owner], k[owner])
+    pair = p != q
+    p, q = p[pair], q[pair]
+    keys = np.concatenate((new[row[kept]] * r.size + new[col[kept]],
+                           new[nb[p]] * r.size + new[nb[q]]))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    w_r = np.add.reduceat(np.concatenate((val[kept], f[p] * w_h[q]))[order], first)
+    rows, cols = np.divmod(keys[first], r.size)
+    a_r = a[r] + np.bincount(new[nb], weights=f * a[h][owner], minlength=r.size)
+    return d_h, hptr, nb, f, r, np.searchsorted(rows, np.arange(r.size + 1)), cols, w_r, a_r
 
 
 class _KronFactor:
-    """``P M P^T = L D L^T`` for ``M = diag(a + W 1) - W``, with ``W`` the
-    symmetric nonnegative CSR adjacency and ``a >= 0`` the grounding, by Kron
-    reduction of one level of independent nodes at a time (see
-    :func:`_level`).
-
-    The Schur complement ``S = diag(a + W 1) - W`` over the nodes left keeps
-    that form: eliminating the level ``H`` leaves the rest ``R`` with
+    """``P M P^T = L D L^T`` for ``M = diag(a + W 1) - W`` (``W`` the
+    symmetric nonnegative CSR adjacency, ``a >= 0`` the grounding) by Kron
+    reduction, one level ``H`` of independent nodes (:func:`_level`) at a
+    time. The rest ``R`` keeps the form, with
 
         W' = W_RR + offdiag(F W_HR),   a' = a_R + F a_H,   F = W_RH D_H^-1,
 
-    and the pivots ``D_H = a_H + W_H 1``. These are sums of nonnegative
-    terms, never differences (as in the GTH algorithm of Grassmann, Taksar
-    and Heyman 1985), so each entry and pivot keeps a small relative error,
-    and no entry cancels: the pattern of ``L`` is the exact, chordal fill.
-    ``L[R, H] = -F``. Levels stop at a thin one or a dense ``S`` (see
-    ``_THIN_LEVEL`` and ``_DENSE_TAIL``), always leaving at least one node;
-    :func:`_dense_inverse` inverts the ``S`` of that rest, the tail.
+    and the pivots ``D_H = a_H + W_H 1``: sums of nonnegative terms, never
+    differences (as in the GTH algorithm of Grassmann, Taksar and Heyman
+    1985), so each keeps a small relative error and no entry cancels; the
+    pattern of ``L`` is the exact, chordal fill, with ``L[R, H] = -F``.
+    The first level must save ``first`` flops of dense work (see
+    ``_FACTOR_WORK``; tests pin the backend with 0 or inf). The Schur
+    complement left, the tail, is inverted by :func:`_dense_inverse`; with
+    no level it is all of ``M``, and :meth:`solve`, :meth:`columns` and
+    :meth:`diagonal` read that inverse.
 
-    ``perm`` lists the nodes in elimination order and ``pos`` is its
-    inverse. Level k holds the positions ``[bounds[k], bounds[k + 1])``,
-    and ``blocks[k]`` is its ``F`` on the positions after it. ``head`` is
-    the unit lower-triangular CSC of the ``bounds[-1]`` level columns of
-    ``L``, ``d`` their pivots, and ``z_tail`` the dense symmetric inverse
-    ``S_T^-1`` of the Schur complement left.
-
-    The factor is ``M^-1`` as far as the solver uses it: ``@`` and
-    ``[:, idx]`` are one :meth:`solve` each, and ``.diagonal()`` is
-    selected inversion with its probe. It keeps ``M`` as ``_diag`` and
-    ``_adj`` and no reference to the solver, so it is freed with the
-    solver, without waiting for the cyclic garbage collector.
+    ``perm`` lists the nodes in elimination order, ``pos`` is its inverse,
+    level k holds the positions ``[bounds[k], bounds[k + 1])`` and
+    ``blocks[k]`` is its ``F`` on the positions after it. ``head`` is the
+    unit lower-triangular CSC of the level columns of ``L``, ``d`` their
+    pivots and ``z_tail`` the symmetric ``S_T^-1`` of the tail. ``M`` is
+    kept as ``_diag`` and ``_adj``, with no reference to the solver, so the
+    factor is freed with the solver without the cyclic garbage collector.
     """
 
-    def __init__(self, w, a: np.ndarray):
+    def __init__(self, w, a: np.ndarray, first: float = _FACTOR_WORK):
         n = a.size
         ids = np.arange(n)
         a = a.astype(np.float64)
         self._adj = w
-        self._diag = a + np.asarray(w.sum(axis=1)).ravel()
+        self._diag = a + w @ np.ones(n)
+        ptr, col, val = w.indptr, w.indices, w.data
         levels = []
         while True:
             m = ids.size
-            h = _level(w, ids)
-            thin = h.size * _THIN_LEVEL < m and h.size * m * m < _LEVEL_WORK
-            if thin or h.size == m or w.nnz > _DENSE_TAIL * m * m:
+            h = _level(ptr, col, ids, first / (m * m))
+            work = h.size * m * m
+            thin = work < first or (h.size * _THIN_LEVEL < m and work < _LEVEL_WORK)
+            if thin or h.size == m or ptr[-1] > _DENSE_TAIL * m * m:
                 break
-            rest = np.ones(m, dtype=bool)
-            rest[h] = False
-            r = np.flatnonzero(rest)
-            w_r = w[r]
-            w_rh = w_r[:, h]
-            d_h = a[h] + np.asarray(w_rh.sum(axis=0)).ravel()
-            _check_pivots(d_h)
-            f = w_rh @ sp.diags(1.0 / d_h)
-            w = _off_diagonal(w_r[:, r] + f @ w_rh.T)
-            a = a[r] + f @ a[h]
-            f = f.tocoo()
-            levels.append((ids[h], d_h, ids[r][f.row], f.col, f.data))
+            first = 0.0
+            d_h, hptr, nb, f, r, ptr, col, val, a = _eliminate(ptr, col, val, a, h)
+            levels.append((ids[h], d_h, hptr, ids[nb], f))
             ids = ids[r]
         self.perm = np.concatenate([lv[0] for lv in levels] + [ids])
-        self.pos = np.empty(n, dtype=np.int64)
-        self.pos[self.perm] = np.arange(n)
-        self.bounds = np.cumsum([0] + [lv[0].size for lv in levels]).tolist()
+        self.pos = np.argsort(self.perm)
+        self.bounds = b = np.cumsum([0] + [lv[0].size for lv in levels]).tolist()
         self.d = np.concatenate([np.empty(0)] + [lv[1] for lv in levels])
+        self.blocks = [sp.csc_matrix((f, self.pos[nb] - p1, hptr), shape=(n - p1, p1 - p0))
+                       for (_, _, hptr, nb, f), p0, p1 in zip(levels, b, b[1:])]
+        if levels:
+            w = sp.csr_matrix((val, col, ptr), shape=(ids.size, ids.size))
+        self.z_tail = _dense_inverse(w, a + w @ np.ones(ids.size) if levels else self._diag)
+
+    @cached_property
+    def head(self):
+        """The level columns of ``L``, unit lower-triangular; built on first use."""
         t = self.bounds[-1]
-        rows, cols, vals = [np.arange(t)], [np.arange(t)], [np.ones(t)]
-        self.blocks = []
-        for (_, _, r_ids, col, val), p0, p1 in zip(levels, self.bounds, self.bounds[1:]):
-            row = self.pos[r_ids]
-            self.blocks.append(sp.csr_matrix((val, (row - p1, col)), shape=(n - p1, p1 - p0)))
-            rows.append(row)
-            cols.append(col + p0)
-            vals.append(-val)
-        self.head = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, t))
-        self.z_tail = _dense_inverse(w, a + np.asarray(w.sum(axis=1)).ravel())
+        counts = np.concatenate([np.diff(f.indptr) + 1 for f in self.blocks])
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        rows, vals = np.empty(ptr[-1], dtype=np.int64), np.empty(ptr[-1])
+        rows[ptr[:-1]], vals[ptr[:-1]] = np.arange(t), 1.0
+        below = _ranges(ptr[:-1] + 1, counts - 1)
+        rows[below] = np.concatenate([f.indices + p for f, p in zip(self.blocks, self.bounds[1:])])
+        vals[below] = -np.concatenate([f.data for f in self.blocks])
+        return sp.csc_matrix((vals, rows, ptr), shape=(self.pos.size, t))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``M^-1 rhs`` for a vector or a block of columns: one sparse product
         per level on the way down and on the way back, and one product with
         ``z_tail`` on the tail."""
+        if len(self.bounds) == 1:
+            return self.z_tail @ rhs
         b = rhs.reshape(rhs.shape[0], -1)[self.perm]
         levels = list(zip(self.bounds, self.bounds[1:], self.blocks))
         for p0, p1, f in levels:
@@ -304,31 +302,27 @@ class _KronFactor:
             b[p0:p1] += f.T @ b[p1:]
         return b[self.pos].reshape(rhs.shape)
 
-
-    def _apply_m(self, x: np.ndarray) -> np.ndarray:
-        """``M x`` for a vector or a block of columns."""
-        return (self._diag * x.T).T - self._adj @ x
-
-    def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
-        return self.solve(rhs)
-
-    def __getitem__(self, key) -> np.ndarray:
-        _, idx = key  # [:, idx], recomputed on every call
+    def columns(self, idx: np.ndarray) -> np.ndarray:
+        """``M^-1[:, idx]``, recomputed on every call."""
+        if len(self.bounds) == 1:
+            return self.z_tail[:, idx]
         return self.solve(_unit_columns(self.pos.size, idx))
 
     def diagonal(self) -> np.ndarray:
+        if len(self.bounds) == 1:
+            return self.z_tail.diagonal()
         _check_pivots(self.d)
         diag = _selected_diagonal(self.head, self.d, self.bounds, self.z_tail)[self.pos]
-        # Probe: unit-column solves for the nodes eliminated first. Each
-        # entry gets the scalar form of one refinement step: since M is
-        # symmetric, e_j^T M^-1 r_j = x_j^T r_j for the column x_j and its
-        # residual r_j, which is second-order accurate like the full step.
-        # The residual is in np.longdouble: the entries of M^-1 grow with n
-        # (to n on a path), and a float64 residual would round them away.
+        # Probe: unit-column solves x_j for the nodes eliminated first, each
+        # entry refined by e_j^T M^-1 r_j = x_j^T r_j (M is symmetric). The
+        # residual r_j is formed in np.longdouble, as the entries of M^-1 grow
+        # with n (to n on a path), then rounded: r_j itself is small.
         probe = np.flatnonzero(self.pos < _DIAG_PROBE)
-        eye = _unit_columns(self.pos.size, probe)
-        cols = self.solve(eye)
-        res = eye - self._apply_m(cols.astype(np.longdouble))
+        cols = self.solve(_unit_columns(self.pos.size, probe))
+        xl = cols.astype(np.longdouble)
+        res = self._adj @ xl - (self._diag * xl.T).T
+        res[probe, np.arange(probe.size)] += 1.0
+        res = res.astype(np.float64)
         tol = _tolerance(float(self._diag.max()))
         _check(float(np.abs(res).max()), tol, "diagonal solve")
         refined = cols[probe, np.arange(probe.size)] + np.einsum("ij,ij->j", cols, res)
@@ -341,11 +335,16 @@ def _selected_diagonal(l, d: np.ndarray, bounds: list, z_tail: np.ndarray) -> np
     sorted) with pivots ``d`` and level ``bounds``, and the dense inverse
     ``z_tail`` of the Schur complement left. Neither array is modified.
 
+    Selected inversion (Takahashi, Fagan & Chin 1973): with ``s`` the
+    below-diagonal pattern of column j,
+
+        Z[s, j] = -Z[s, s] L[s, j],   Z[j, j] = 1/d_j - L[s, j]^T Z[s, j].
+
     ``Z = M^-1`` is kept on the pattern of ``l``, one value per stored entry,
     plus the dense ``Z[t:, t:] = S_T^-1``, which is ``z_tail``; no n x n
-    array is formed. A level's columns read ``Z`` only in the columns of
-    later levels and of the tail, so the levels are walked last first, in
-    chunks of at most ``_TAIL_BLOCK`` columns.
+    array is formed. The chordal fill puts every entry a level's columns
+    read in the columns of later levels and of the tail, so the levels are
+    walked last first, in chunks of at most ``_TAIL_BLOCK`` columns.
     """
     n, t = l.shape
     # z[e] is Z at the entry e of l, (r[e], col[e]) with the key col n + r;
@@ -415,7 +414,7 @@ class OpinionSolver:
     """
 
     def __init__(self, graph: Graph, minus: Sequence[int], plus_base: Sequence[int],
-                 dense_cutoff: int = DENSE_CUTOFF):
+                 dense_cutoff: int | None = None):
         n = graph.node_count
         self.graph = graph
         self.n = n
@@ -427,16 +426,17 @@ class OpinionSolver:
         self.rhs0 = (plus_links - minus_links).astype(np.float64)
         self._placed = plus_links > 0
         self.anchored = bool(plus_links.any() or minus_links.any())
-        self.dense = n <= dense_cutoff
+        self.dense = True  # no level: M^-1 is the dense inverse
         if not self.anchored:
             # Singular base, but no solve is needed: any plus target drives
             # every opinion to +1, as x = 1 solves (L + e_v e_v^T) x = e_v.
             return
-        # M in its backend's format: a sparse M costs more than a small dense inverse.
-        self._inv = (_dense_inverse(self._adj, self.base_diag) if self.dense
-                     else _KronFactor(self._adj, plus_links + minus_links))
-        self._x0 = self._inv @ self.rhs0
-        self._w0 = self._inv @ np.ones(n)
+        # Tests pin the backend: no level up to dense_cutoff nodes, levels above.
+        first = _FACTOR_WORK if dense_cutoff is None else math.inf if n <= dense_cutoff else 0
+        self._inv = _KronFactor(self._adj, plus_links + minus_links, first)
+        self.dense = len(self._inv.bounds) == 1
+        self._x0 = self._inv.solve(self.rhs0)
+        self._w0 = self._inv.solve(np.ones(n))
         # Right-hand sides of the Woodbury step for x and w, gathered per call.
         self._rhs = np.empty((n, 2))
         self._rhs[:, 0] = 1.0 - self._x0
@@ -465,7 +465,7 @@ class OpinionSolver:
         once, for all of its right-hand sides."""
         if not idx.size:
             return self._x0.copy(), self._w0, None, None
-        z = self._inv[:, idx]
+        z = self._inv.columns(idx)
         c = z[idx]
         c.ravel()[::idx.size + 1] += 1.0
         rhs = np.hstack((self._rhs[idx], z.T)) if with_columns else self._rhs[idx]

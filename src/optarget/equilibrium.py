@@ -135,8 +135,7 @@ def verify_electrical(inst: Instance, extra: Iterable[int],
     n = inst.graph.node_count
     # The sources' fixed potentials (+1, -1) move to the right-hand side.
     rhs = -(lap[:n, n:] @ np.array([1.0, -1.0]))
-    if n + 2 <= 2500:
-        voltages = np.linalg.solve(lap[:n, :n].toarray(), rhs)
-    else:
-        voltages = spla.spsolve(lap[:n, :n], rhs)
+    # SuperLU at every n, with a symmetric order and diagonal pivots (M is SPD).
+    voltages = spla.splu(lap[:n, :n], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).solve(rhs)
     return bool(np.abs(voltages - profile.opinions).max() <= ELECTRICAL_ATOL)

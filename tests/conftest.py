@@ -7,8 +7,8 @@ from optarget import Graph
 def record_solves(monkeypatch, factor) -> list[int]:
     """Patch the sparse backend's ``factor.solve`` to record the column
     count of each right-hand side it gets; the list's length counts the
-    solves. The factor does not refine a solve, so each of its ``@`` and
-    ``[:, idx]`` adds one entry."""
+    solves. The factor does not refine a solve, so each ``solve`` call, and
+    each ``columns`` call on a factor with levels, adds one entry."""
     widths = []
     solve = factor.solve
 

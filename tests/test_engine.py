@@ -1,8 +1,10 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from optarget import engine
 from optarget import (
@@ -18,6 +20,7 @@ from optarget import (
     verify_electrical,
 )
 from optarget.engine import OpinionSolver, SolverConvergenceError
+from optarget.experiments import er_edge_probability, sample_connected_er, sample_sized_tree
 from conftest import random_connected_graph, random_tree, record_solves, star_graph
 
 
@@ -32,25 +35,130 @@ def backends():
     return dense, sparse
 
 
+def er_blocking_graph(a: float) -> Graph:
+    """A seeded connected G(400, a ln(400) / 400) draw, as in er-blocking."""
+    return sample_connected_er(400, er_edge_probability(400, a), 11, int(2 * a))
+
+
 class TestBackendChoice:
-    """The dense inverse up to ``dense_cutoff`` nodes, the sparse factor above."""
+    """The first level's dense work against ``_FACTOR_WORK`` picks the
+    backend: a factor with no level is the dense inverse itself."""
 
-    @pytest.fixture
-    def graph(self):
-        return random_connected_graph(40, 0.1, np.random.default_rng(3))
+    def test_large_tree_takes_levels(self):
+        solver = OpinionSolver(sample_sized_tree(9.0, 400, 7, 0), (0,), ())
+        assert not solver.dense
+        assert len(solver._inv.bounds) > 1
 
-    def test_dense_at_the_cutoff(self, graph):
-        solver = OpinionSolver(graph, (3,), (7,), dense_cutoff=graph.node_count)
-        assert solver.dense and isinstance(solver._inv, np.ndarray)
+    # At 201 nodes the product form the factor uses with levels,
+    # (rhs^T z^T)^T, differs from z @ rhs in the last bit on 32 columns.
+    @pytest.mark.parametrize("graph", [
+        pytest.param(lambda: sample_sized_tree(3.0, 200, 7, 0), id="tree-200"),
+        pytest.param(lambda: sample_sized_tree(3.0, 201, 7, 0), id="tree-201"),
+        *(pytest.param(functools.partial(er_blocking_graph, a), id=f"er-a={a}")
+          for a in (1.5, 3.0, 6.0, 10.0)),
+    ])
+    def test_no_level_is_the_dense_inverse(self, graph):
+        g = graph()
+        solver = OpinionSolver(g, (0, 1, 2), ())
+        factor = solver._inv
+        assert solver.dense and factor.bounds == [0]
+        inv = engine._dense_inverse(solver._adj, solver.base_diag)
+        rhs = np.random.default_rng(0).random((g.node_count, 32))
+        idx = np.array([4, 17, 150])
+        for block in (rhs[:, 0], rhs[:, :3], rhs):
+            assert np.array_equal(factor.solve(block), inv @ block)
+        assert np.array_equal(factor.columns(idx), inv[:, idx])
+        assert np.array_equal(factor.diagonal(), inv.diagonal())
 
-    def test_sparse_one_above_the_cutoff(self, graph):
-        solver = OpinionSolver(graph, (3,), (7,), dense_cutoff=graph.node_count - 1)
-        assert not solver.dense and isinstance(solver._inv, engine._KronFactor)
-
-    @pytest.mark.parametrize("below", [0, 1], ids=["dense", "sparse"])
-    def test_unanchored_builds_neither(self, graph, below):
-        solver = OpinionSolver(graph, (), (), dense_cutoff=graph.node_count - below)
+    @pytest.mark.parametrize("cutoff", [None, 40, 0], ids=["rule", "dense", "sparse"])
+    def test_unanchored_builds_neither(self, cutoff):
+        g = random_connected_graph(40, 0.1, np.random.default_rng(3))
+        solver = OpinionSolver(g, (), (), dense_cutoff=cutoff)
         assert "_inv" not in vars(solver)
+
+
+def dense_level(w: np.ndarray, a: np.ndarray, h: np.ndarray) -> tuple:
+    """Eliminate the independent nodes ``h`` from diag(a + W 1) - W by dense
+    arrays, each sum taken in index order: the pivots, F, W' and a'."""
+    r = np.setdiff1d(np.arange(a.size), h)
+    d = a[h] + np.add.accumulate(w[h], axis=1)[:, -1]
+    f = w[np.ix_(h, r)].T * (1.0 / d)
+    fill, fa = np.zeros((r.size, r.size)), np.zeros(r.size)
+    for k, v in enumerate(h):
+        fill += np.outer(f[:, k], w[v, r])
+        fa += f[:, k] * a[v]
+    np.fill_diagonal(fill, 0.0)
+    return d, f, w[np.ix_(r, r)] + fill, a[r] + fa
+
+
+class TestLevelStep:
+    """Each Kron level built on the CSR arrays against dense elimination:
+    bit for bit on trees, where no entry gets more than one fill term, and
+    to 1e-14 relative with fill."""
+
+    @staticmethod
+    def check(g: Graph, grounded, exact: bool) -> tuple[int, int]:
+        """Eliminate levels until one would take every node left; returns
+        the number of levels and of fill entries."""
+        w = g.adjacency_csr()
+        ptr, col, val = w.indptr, w.indices, w.data
+        a = np.bincount(grounded, minlength=g.node_count).astype(np.float64)
+        levels = fills = 0
+        while True:
+            h = engine._level(ptr, col, np.arange(a.size), 0)
+            if h.size == a.size:
+                return levels, fills
+            dense = sp.csr_matrix((val, col, ptr), shape=(a.size, a.size)).toarray()
+            m = np.diag(a + dense.sum(axis=1)) - dense
+            expected = dense_level(dense, a, h)
+            d, hptr, nb, f, r, ptr, col, val, a = engine._eliminate(ptr, col, val, a, h)
+            f_dense = np.zeros((dense.shape[0], h.size))
+            f_dense[nb, np.repeat(np.arange(h.size), np.diff(hptr))] = f
+            w_new = sp.csr_matrix((val, col, ptr), shape=(r.size, r.size))
+            assert w_new.has_canonical_format and (val > 0.0).all()
+            got = d, f_dense[r], w_new.toarray(), a
+            for x, y in zip(got, expected):
+                assert (x >= 0.0).all()
+                if exact:
+                    np.testing.assert_array_equal(x, y)
+                else:
+                    np.testing.assert_allclose(x, y, rtol=1e-14, atol=0)
+            # The GTH form is the Schur complement of M.
+            m_hr = m[np.ix_(h, r)]
+            schur = m[np.ix_(r, r)] - m_hr.T @ (m_hr / np.diag(m)[h, None])
+            np.testing.assert_allclose(np.diag(a + got[2].sum(axis=1)) - got[2], schur,
+                                       rtol=0, atol=1e-13 * np.abs(m).max())
+            levels += 1
+            fills += int(np.count_nonzero((got[2] > 0) & (dense[np.ix_(r, r)] == 0)))
+
+    def test_path(self):
+        levels, fills = self.check(generate_line(200), [0], exact=True)
+        assert levels >= 5 and fills > 0
+
+    def test_star_wider_than_a_chunk(self):
+        assert engine._TAIL_BLOCK < 599
+        assert self.check(star_graph(599), [5], exact=True) == (1, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_trees(self, seed):
+        assert self.check(random_tree(300, np.random.default_rng(seed)), [0, 7], exact=True)[0]
+        assert self.check(sample_sized_tree(9.0, 300, seed, 0), [0], exact=True)[0]
+
+    def test_er_graph_with_fill(self):
+        g = random_connected_graph(120, 0.05, np.random.default_rng(99))
+        levels, fills = self.check(g, [3, 7, 40], exact=False)
+        assert levels >= 3 and fills > 0
+
+    def test_zero_pivot_raises_before_dividing(self):
+        # Node 49 has no edge and no grounding, so its pivot is 0; no 1/0
+        # may be taken on the way to the error.
+        w = Graph(50, [(i, i + 1) for i in range(48)]).adjacency_csr()
+        a = np.zeros(50)
+        a[0] = 1.0
+        h = engine._level(w.indptr, w.indices, np.arange(50), 0)
+        assert 49 in h
+        with np.errstate(all="raise"), pytest.raises(SolverConvergenceError, match="pivot"):
+            engine._eliminate(w.indptr, w.indices, w.data, a, h)
 
 
 class TestDenseInverse:
@@ -147,7 +255,7 @@ class TestSparseDiagonalPass:
     def test_matches_dense_inverse(self, backends, sparse):
         dense, _ = backends
         sparse.gains(())
-        np.testing.assert_allclose(sparse._g0, np.diag(dense._inv), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sparse._g0, dense._inv.diagonal(), rtol=1e-12, atol=0)
 
     def test_matches_refined_columns(self, sparse):
         # The per-entry correction against one full refinement step of
@@ -408,9 +516,9 @@ class TestLargeInstances:
         assert out.objective == pytest.approx(best, abs=1e-12)
 
     def test_long_line_uses_sparse_solver_end_to_end(self):
-        # 2600 nodes is beyond the dense cutoff, so this covers the sparse
-        # factorization inside the equilibrium API and the sparse branch of
-        # the electrical cross-check.
+        # A long path takes levels, so this covers the sparse factorization
+        # inside the equilibrium API, and the electrical cross-check at
+        # 2600 nodes.
         n = 2600
         inst = Instance(generate_line(n), frozenset({0}), budget=1)
         prof = solve_equilibrium(inst, {3})

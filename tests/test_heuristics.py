@@ -24,7 +24,7 @@ from optarget import (
     tree_view,
 )
 from optarget import heuristics
-from optarget.engine import DENSE_CUTOFF, OpinionSolver
+from optarget.engine import OpinionSolver
 from optarget.heuristics import SCORE_TIE_TOL
 from conftest import random_connected_graph, random_tree, record_solves, star_graph
 
@@ -100,7 +100,7 @@ def on_backend(inst, backend):
     """``inst`` with its solver pinned to the dense or the sparse backend."""
     inst.__dict__["solver"] = OpinionSolver(
         inst.graph, sorted(inst.minus_set), sorted(inst.plus_base),
-        dense_cutoff={"dense": DENSE_CUTOFF, "sparse": 0}[backend])
+        dense_cutoff={"dense": inst.graph.node_count, "sparse": 0}[backend])
     return inst
 
 
