@@ -24,11 +24,13 @@ backend or on how ``M`` was factorized.
 low-degree nodes at a time, each a Schur complement whose entries and
 pivots are sums of nonnegative terms (GTH-style), so nothing cancels. The
 first level is taken only if the dense work it saves pays for the fixed
-cost of a factor with levels (``_FACTOR_WORK``), so that rule alone picks
-the backend. The rest, the tail, is inverted by LAPACK Cholesky and kept;
-with no level the factor is the dense inverse of ``M`` itself. With
-levels, ``solve`` and ``columns`` are one solve each, and ``diagonal`` (for
-gain sweeps) is selected inversion on the factor, checked by a probe of
+cost of a factor with levels (``_FACTOR_WORK``; tests patch it to 0 or
+inf), so that rule alone picks the backend. The rest, the tail, is
+inverted by LAPACK Cholesky and kept; with no level the factor is the dense
+inverse of ``M`` itself. The factor holds only ``L``, ``D`` and ``S_T^-1``;
+``M`` belongs to :class:`OpinionSolver`. With levels, ``solve`` and
+``columns`` are one solve each, and ``diagonal`` (for gain sweeps) is
+selected inversion on the factor, which the solver checks by a probe of
 ``_DIAG_PROBE`` unit-column solves; a sweep reads only the factor, so it
 does not depend on which evaluations ran before. No solve is refined: the
 objective's ``w_A^T r`` term is the one accuracy step.
@@ -226,37 +228,34 @@ class _KronFactor:
     differences (as in the GTH algorithm of Grassmann, Taksar and Heyman
     1985), so each keeps a small relative error and no entry cancels; the
     pattern of ``L`` is the exact, chordal fill, with ``L[R, H] = -F``.
-    The first level must save ``first`` flops of dense work (see
-    ``_FACTOR_WORK``; tests pin the backend with 0 or inf). The Schur
-    complement left, the tail, is inverted by :func:`_dense_inverse`; with
-    no level it is all of ``M``, and :meth:`solve`, :meth:`columns` and
+    The first level must save ``_FACTOR_WORK`` flops of dense work, read at
+    each call. The Schur complement left, the tail, is inverted by
+    :func:`_dense_inverse`; with no level it is all of ``M``, whose diagonal
+    ``d_m`` is read only then, and :meth:`solve`, :meth:`columns` and
     :meth:`diagonal` read that inverse.
 
     ``perm`` lists the nodes in elimination order, ``pos`` is its inverse,
     level k holds the positions ``[bounds[k], bounds[k + 1])`` and
-    ``blocks[k]`` is its ``F`` on the positions after it. ``head`` is the
-    unit lower-triangular CSC of the level columns of ``L``, ``d`` their
-    pivots and ``z_tail`` the symmetric ``S_T^-1`` of the tail. ``M`` is
-    kept as ``_diag`` and ``_adj``, with no reference to the solver, so the
-    factor is freed with the solver without the cyclic garbage collector.
+    ``blocks[k]`` is its ``F`` on the positions after it, so the level
+    columns of ``L`` are the unit diagonal and ``-blocks[k]``. ``d`` holds
+    their pivots and ``z_tail`` the symmetric ``S_T^-1`` of the tail.
     """
 
-    def __init__(self, w, a: np.ndarray, first: float = _FACTOR_WORK):
+    def __init__(self, w, a: np.ndarray, d_m: np.ndarray):
         n = a.size
         ids = np.arange(n)
         a = a.astype(np.float64)
-        self._adj = w
-        self._diag = a + w @ np.ones(n)
+        needed = _FACTOR_WORK
         ptr, col, val = w.indptr, w.indices, w.data
         levels = []
         while True:
             m = ids.size
-            h = _level(ptr, col, ids, first / (m * m))
+            h = _level(ptr, col, ids, needed / (m * m))
             work = h.size * m * m
-            thin = work < first or (h.size * _THIN_LEVEL < m and work < _LEVEL_WORK)
+            thin = work < needed or (h.size * _THIN_LEVEL < m and work < _LEVEL_WORK)
             if thin or h.size == m or ptr[-1] > _DENSE_TAIL * m * m:
                 break
-            first = 0.0
+            needed = 0.0
             d_h, hptr, nb, f, r, ptr, col, val, a = _eliminate(ptr, col, val, a, h)
             levels.append((ids[h], d_h, hptr, ids[nb], f))
             ids = ids[r]
@@ -268,20 +267,8 @@ class _KronFactor:
                        for (_, _, hptr, nb, f), p0, p1 in zip(levels, b, b[1:])]
         if levels:
             w = sp.csr_matrix((val, col, ptr), shape=(ids.size, ids.size))
-        self.z_tail = _dense_inverse(w, a + w @ np.ones(ids.size) if levels else self._diag)
-
-    @cached_property
-    def head(self):
-        """The level columns of ``L``, unit lower-triangular; built on first use."""
-        t = self.bounds[-1]
-        counts = np.concatenate([np.diff(f.indptr) + 1 for f in self.blocks])
-        ptr = np.concatenate(([0], np.cumsum(counts)))
-        rows, vals = np.empty(ptr[-1], dtype=np.int64), np.empty(ptr[-1])
-        rows[ptr[:-1]], vals[ptr[:-1]] = np.arange(t), 1.0
-        below = _ranges(ptr[:-1] + 1, counts - 1)
-        rows[below] = np.concatenate([f.indices + p for f, p in zip(self.blocks, self.bounds[1:])])
-        vals[below] = -np.concatenate([f.data for f in self.blocks])
-        return sp.csc_matrix((vals, rows, ptr), shape=(self.pos.size, t))
+            d_m = a + w @ np.ones(ids.size)
+        self.z_tail = _dense_inverse(w, d_m)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``M^-1 rhs`` for a vector or a block of columns: one sparse product
@@ -309,54 +296,46 @@ class _KronFactor:
         return self.solve(_unit_columns(self.pos.size, idx))
 
     def diagonal(self) -> np.ndarray:
+        """``diag(M^-1)``, unchecked with levels but for the pivots."""
         if len(self.bounds) == 1:
             return self.z_tail.diagonal()
         _check_pivots(self.d)
-        diag = _selected_diagonal(self.head, self.d, self.bounds, self.z_tail)[self.pos]
-        # Probe: unit-column solves x_j for the nodes eliminated first, each
-        # entry refined by e_j^T M^-1 r_j = x_j^T r_j (M is symmetric). The
-        # residual r_j is formed in np.longdouble, as the entries of M^-1 grow
-        # with n (to n on a path), then rounded: r_j itself is small.
-        probe = np.flatnonzero(self.pos < _DIAG_PROBE)
-        cols = self.solve(_unit_columns(self.pos.size, probe))
-        xl = cols.astype(np.longdouble)
-        res = self._adj @ xl - (self._diag * xl.T).T
-        res[probe, np.arange(probe.size)] += 1.0
-        res = res.astype(np.float64)
-        tol = _tolerance(float(self._diag.max()))
-        _check(float(np.abs(res).max()), tol, "diagonal solve")
-        refined = cols[probe, np.arange(probe.size)] + np.einsum("ij,ij->j", cols, res)
-        _check(float(np.abs(refined - diag[probe]).max()), tol, "selected inversion probe")
-        return diag
+        return _selected_diagonal(self.blocks, self.d, self.bounds, self.z_tail)[self.pos]
 
-def _selected_diagonal(l, d: np.ndarray, bounds: list, z_tail: np.ndarray) -> np.ndarray:
-    """``diag(M^-1)`` in elimination order from a :class:`_KronFactor`: its
-    unit lower-triangular CSC ``head`` ``l`` (n x t; its rows need not be
-    sorted) with pivots ``d`` and level ``bounds``, and the dense inverse
-    ``z_tail`` of the Schur complement left. Neither array is modified.
+
+def _selected_diagonal(blocks: list, d: np.ndarray, bounds: list,
+                       z_tail: np.ndarray) -> np.ndarray:
+    """``diag(M^-1)`` in elimination order from a :class:`_KronFactor`: the
+    level columns of ``L``, a unit diagonal and ``-F`` of each CSC of
+    ``blocks`` (rows need not be sorted), pivots ``d``, level ``bounds`` and
+    ``z_tail``, the inverse of the Schur complement left. Nothing is modified.
 
     Selected inversion (Takahashi, Fagan & Chin 1973): with ``s`` the
     below-diagonal pattern of column j,
 
         Z[s, j] = -Z[s, s] L[s, j],   Z[j, j] = 1/d_j - L[s, j]^T Z[s, j].
 
-    ``Z = M^-1`` is kept on the pattern of ``l``, one value per stored entry,
+    ``Z = M^-1`` is kept on the pattern of those columns, one value per entry,
     plus the dense ``Z[t:, t:] = S_T^-1``, which is ``z_tail``; no n x n
     array is formed. The chordal fill puts every entry a level's columns
     read in the columns of later levels and of the tail, so the levels are
     walked last first, in chunks of at most ``_TAIL_BLOCK`` columns.
     """
-    n, t = l.shape
-    # z[e] is Z at the entry e of l, (r[e], col[e]) with the key col n + r;
-    # the entries are sorted by key, so the rows of each column are, its
+    t = bounds[-1]
+    n = t + z_tail.shape[0]
+    # z[e] is Z at the entry e, (r[e], col[e]) with the key col n + r; the
+    # entries are sorted by key, so the rows of each column are, its
     # diagonal first. Rows are int64, as keys overflow int32 above n = 46340.
-    ptr = l.indptr
-    counts = np.diff(ptr)
+    counts = np.concatenate([np.diff(f.indptr) + 1 for f in blocks])
+    ptr = np.concatenate(([0], np.cumsum(counts)))
     col = np.repeat(np.arange(t), counts)
-    r = l.indices.astype(np.int64)
+    below = _ranges(ptr[:-1] + 1, counts - 1)
+    r, x = col.copy(), np.ones(col.size)
+    r[below] = np.concatenate([f.indices + p for f, p in zip(blocks, bounds[1:])])
+    x[below] = -np.concatenate([f.data for f in blocks])
     keys = col * n + r
     order = np.argsort(keys)
-    keys, r, x = keys[order], r[order], l.data[order]
+    keys, r, x = keys[order], r[order], x[order]
     # Tail part: tp[e] = (Z[tail, tail] L[tail, j])[r[e]] at each tail-row
     # entry e of a column j. z_tail is symmetric, so its C-ordered transpose
     # serves as the dense operand without a copy.
@@ -413,8 +392,7 @@ class OpinionSolver:
     plus-side targets, disjoint from the pre-placed ones.
     """
 
-    def __init__(self, graph: Graph, minus: Sequence[int], plus_base: Sequence[int],
-                 dense_cutoff: int | None = None):
+    def __init__(self, graph: Graph, minus: Sequence[int], plus_base: Sequence[int]):
         n = graph.node_count
         self.graph = graph
         self.n = n
@@ -431,9 +409,7 @@ class OpinionSolver:
             # Singular base, but no solve is needed: any plus target drives
             # every opinion to +1, as x = 1 solves (L + e_v e_v^T) x = e_v.
             return
-        # Tests pin the backend: no level up to dense_cutoff nodes, levels above.
-        first = _FACTOR_WORK if dense_cutoff is None else math.inf if n <= dense_cutoff else 0
-        self._inv = _KronFactor(self._adj, plus_links + minus_links, first)
+        self._inv = _KronFactor(self._adj, plus_links + minus_links, self.base_diag)
         self.dense = len(self._inv.bounds) == 1
         self._x0 = self._inv.solve(self.rhs0)
         self._w0 = self._inv.solve(np.ones(n))
@@ -447,8 +423,23 @@ class OpinionSolver:
 
     @cached_property
     def _g0(self) -> np.ndarray:
-        """``diag(M^-1)``, computed for every node on the first gain sweep."""
-        return self._inv.diagonal()
+        """``diag(M^-1)``, computed for every node on the first gain sweep.
+
+        With levels a probe checks it: the unit-column solves ``x_j`` of the
+        nodes eliminated first, each entry refined by ``x_j^T r_j`` (M is
+        symmetric), ``r_j`` formed in ``np.longdouble`` (the entries of
+        ``M^-1`` grow to n on a path) and then rounded, as it is small."""
+        diag = self._inv.diagonal()
+        if self.dense:
+            return diag
+        probe = np.flatnonzero(self._inv.pos < _DIAG_PROBE)
+        cols = self._inv.columns(probe)
+        res = self._residual_of(_unit_columns(self.n, probe), cols).astype(np.float64)
+        tol = _tolerance(self._d_max)
+        _check(float(np.abs(res).max()), tol, "diagonal solve")
+        refined = cols[probe, np.arange(probe.size)] + np.einsum("ij,ij->j", cols, res)
+        _check(float(np.abs(refined - diag[probe]).max()), tol, "selected inversion probe")
+        return diag
 
     def _extra_index(self, extra: Sequence[int]) -> np.ndarray:
         """:func:`_as_index` of extra targets, none of them pre-placed."""
@@ -529,11 +520,15 @@ class OpinionSolver:
             g = g - np.einsum("ij,ji->i", z, c_inv_zt)
         return w * (1.0 - x) / (self.n * (1.0 + g))
 
+    def _residual_of(self, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``rhs - M x`` in ``np.longdouble``, ``x`` a vector or columns."""
+        xl = x.astype(np.longdouble)
+        return rhs - ((self.base_diag * xl.T).T - self._adj @ xl)
+
     def _residual(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``s_A - M_A x`` in ``np.longdouble``."""
-        xl = x.astype(np.longdouble)
-        r = self._adj @ xl - self.base_diag * xl + self.rhs0
-        r[idx] += 1.0 - xl[idx]
+        r = self._residual_of(self.rhs0, x)
+        r[idx] += 1.0 - x[idx].astype(np.longdouble)
         return r
 
     def _residual_tolerance(self, idx: np.ndarray) -> float:

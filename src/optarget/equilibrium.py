@@ -65,9 +65,9 @@ class Instance:
         """Factorized evaluation engine for this base (built once, reused)."""
         return OpinionSolver(self.graph, sorted(self.minus_set), sorted(self.plus_base))
 
-    @property
+    @cached_property
     def candidates(self) -> tuple[int, ...]:
-        """Nodes available for new plus links, ascending."""
+        """Nodes available for new plus links, ascending (built once)."""
         return tuple(
             v for v in range(self.graph.node_count) if v not in self.plus_base
         )

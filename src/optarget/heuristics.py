@@ -59,7 +59,7 @@ def brute_force(inst: Instance) -> StrategyOutcome:
     the rank-one update of S's own score. The empty set scores
     ``objective(())``; without any attachment it has no equilibrium, is not
     counted, and seeds its extensions with 0 (each then scores exactly 1).
-    Every other set counts as one evaluation, and every candidate is visited.
+    Every other set is one evaluation; a budget above 0 visits every candidate.
     """
     pool = inst.candidates
     k = inst.budget
@@ -73,7 +73,7 @@ def brute_force(inst: Instance) -> StrategyOutcome:
     if best is None:
         raise ValueError("no strategic attachment: objective undefined")
     evaluations = total if solver.anchored else total - 1
-    return _finish(inst, best[0], evaluations, len(pool))
+    return _finish(inst, best[0], evaluations, len(pool) if k else 0)
 
 
 def _scored_sets(solver, pool: tuple[int, ...], k: int):

@@ -1,7 +1,20 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from optarget import Graph
+from optarget import Graph, engine
+
+
+def pinned_solver(graph: Graph, minus, plus, backend: str) -> engine.OpinionSolver:
+    """An ``OpinionSolver`` whose factor takes no level (``"dense"``) or as
+    many as the thin and dense-tail rules allow (``"sparse"``):
+    ``engine._FACTOR_WORK``, read when the factor is built, is patched to
+    inf or 0 for the build."""
+    work = {"dense": math.inf, "sparse": 0}[backend]
+    with mock.patch.object(engine, "_FACTOR_WORK", work):
+        return engine.OpinionSolver(graph, minus, plus)
 
 
 def record_solves(monkeypatch, factor) -> list[int]:

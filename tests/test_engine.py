@@ -21,7 +21,10 @@ from optarget import (
 )
 from optarget.engine import OpinionSolver, SolverConvergenceError
 from optarget.experiments import er_edge_probability, sample_connected_er, sample_sized_tree
-from conftest import random_connected_graph, random_tree, record_solves, star_graph
+from optarget.graphs import degrees
+from conftest import (
+    pinned_solver, random_connected_graph, random_tree, record_solves, star_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +33,8 @@ def backends():
     g = random_connected_graph(120, 0.05, rng)
     minus = (3, 40)
     plus = (7,)
-    dense = OpinionSolver(g, minus, plus, dense_cutoff=2000)
-    sparse = OpinionSolver(g, minus, plus, dense_cutoff=10)
+    dense = pinned_solver(g, minus, plus, "dense")
+    sparse = pinned_solver(g, minus, plus, "sparse")
     return dense, sparse
 
 
@@ -48,6 +51,19 @@ class TestBackendChoice:
         solver = OpinionSolver(sample_sized_tree(9.0, 400, 7, 0), (0,), ())
         assert not solver.dense
         assert len(solver._inv.bounds) > 1
+
+    def test_patched_factor_work_pins_the_backend(self, monkeypatch):
+        # The factor reads the constant when it is built, so patching it
+        # moves both trees of the rule's tests to the other backend.
+        def levels(g: Graph) -> int:
+            a = np.bincount([0], minlength=g.node_count)
+            factor = engine._KronFactor(g.adjacency_csr(), a, (a + degrees(g)).astype(float))
+            return len(factor.bounds) - 1
+
+        monkeypatch.setattr(engine, "_FACTOR_WORK", 0)
+        assert levels(sample_sized_tree(3.0, 200, 7, 0)) > 0
+        monkeypatch.setattr(engine, "_FACTOR_WORK", math.inf)
+        assert levels(sample_sized_tree(9.0, 400, 7, 0)) == 0
 
     # At 201 nodes the product form the factor uses with levels,
     # (rhs^T z^T)^T, differs from z @ rhs in the last bit on 32 columns.
@@ -70,10 +86,10 @@ class TestBackendChoice:
         assert np.array_equal(factor.columns(idx), inv[:, idx])
         assert np.array_equal(factor.diagonal(), inv.diagonal())
 
-    @pytest.mark.parametrize("cutoff", [None, 40, 0], ids=["rule", "dense", "sparse"])
-    def test_unanchored_builds_neither(self, cutoff):
+    @pytest.mark.parametrize("backend", [None, "dense", "sparse"], ids=["rule", "dense", "sparse"])
+    def test_unanchored_builds_neither(self, backend):
         g = random_connected_graph(40, 0.1, np.random.default_rng(3))
-        solver = OpinionSolver(g, (), (), dense_cutoff=cutoff)
+        solver = OpinionSolver(g, (), ()) if backend is None else pinned_solver(g, (), (), backend)
         assert "_inv" not in vars(solver)
 
 
@@ -187,15 +203,15 @@ class TestDenseInverse:
     def test_failed_factorization_raises(self, backends, monkeypatch):
         monkeypatch.setattr(engine.lapack, "dpotrf", lambda a, **kwargs: (a, 3))
         with pytest.raises(SolverConvergenceError, match="Cholesky"):
-            OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=2000)
+            pinned_solver(backends[0].graph, (3, 40), (7,), "dense")
 
-    @pytest.mark.parametrize("cutoff", [2000, 10], ids=["dense", "sparse"])
-    def test_failed_inverse_raises_on_construction(self, backends, monkeypatch, cutoff):
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_failed_inverse_raises_on_construction(self, backends, monkeypatch, backend):
         # Both backends invert their dense part when they are built, so a
         # failed dpotri raises there, not at the first gain sweep.
         monkeypatch.setattr(engine.lapack, "dpotri", lambda c, **kwargs: (c, 2))
         with pytest.raises(SolverConvergenceError, match="Cholesky"):
-            OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=cutoff)
+            pinned_solver(backends[0].graph, (3, 40), (7,), backend)
 
 
 class TestSparseBackendAgreesWithDense:
@@ -220,22 +236,22 @@ class TestSparseBackendAgreesWithDense:
                 sparse.gains(committed), dense.gains(committed), atol=1e-11
             )
 
-    @pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])
-    def test_gain_sweeps_are_fresh_arrays(self, backends, cutoff):
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_gain_sweeps_are_fresh_arrays(self, backends, backend):
         # Writing into one sweep must not change the next sweep of the same
         # committed set.
-        solver = OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=cutoff)
+        solver = pinned_solver(backends[0].graph, (3, 40), (7,), backend)
         for committed in [(), (5,), (5, 31)]:
             first = solver.gains(committed)
             expected = first.copy()
             first[:] = 5.0
             assert np.array_equal(solver.gains(committed), expected)
 
-    @pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])
-    def test_solve_equilibrium_objective_is_the_solver_objective(self, backends, cutoff):
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_solve_equilibrium_objective_is_the_solver_objective(self, backends, backend):
         g = backends[0].graph
         inst = Instance(g, frozenset({3, 40}), frozenset({7}), budget=3)
-        inst.__dict__["solver"] = OpinionSolver(g, (3, 40), (7,), dense_cutoff=cutoff)
+        inst.__dict__["solver"] = pinned_solver(g, (3, 40), (7,), backend)
         for extra in [(), (5,), (0, 11), (2, 50, 90)]:
             assert solve_equilibrium(inst, extra).objective == inst.solver.objective(extra)
 
@@ -250,7 +266,7 @@ class TestSparseDiagonalPass:
     @pytest.fixture
     def sparse(self, backends):
         dense, _ = backends
-        return OpinionSolver(dense.graph, (3, 40), (7,), dense_cutoff=10)
+        return pinned_solver(dense.graph, (3, 40), (7,), "sparse")
 
     def test_matches_dense_inverse(self, backends, sparse):
         dense, _ = backends
@@ -270,7 +286,7 @@ class TestSparseDiagonalPass:
         # Selected inversion reads the factor itself; the one solve is the
         # block of probe columns, however many nodes there are.
         g = random_connected_graph(600, 0.01, np.random.default_rng(6))
-        solver = OpinionSolver(g, (3, 40), (7,), dense_cutoff=0)
+        solver = pinned_solver(g, (3, 40), (7,), "sparse")
         widths = record_solves(monkeypatch, solver._inv)
         solver.gains(())
         assert len(widths) == 1
@@ -296,7 +312,7 @@ class TestSparseDiagonalPass:
         # which the probe columns, solved with the true factor, do not confirm.
         selected = engine._selected_diagonal
         monkeypatch.setattr(engine, "_selected_diagonal",
-                            lambda l, d, bounds, z_tail: selected(l, 1.5 * d, bounds, z_tail))
+                            lambda blocks, d, *rest: selected(blocks, 1.5 * d, *rest))
         with pytest.raises(SolverConvergenceError, match="selected inversion probe"):
             sparse.gains(())
 
@@ -305,7 +321,7 @@ class TestSparseDiagonalPass:
         # stays below one t x t array. A complete graph would not do, as the
         # probe's longdouble M x upcasts a CSR as large as that array.
         g = generate_erdos_renyi(1200, 12 / 1199, seed=4)
-        solver = OpinionSolver(g, (3, 40), (7,), dense_cutoff=0)
+        solver = pinned_solver(g, (3, 40), (7,), "sparse")
         t = g.node_count - solver._inv.bounds[-1]
         tracemalloc.start()
         try:
@@ -318,7 +334,7 @@ class TestSparseDiagonalPass:
     def test_failed_tail_factorization_raises(self, backends, monkeypatch):
         monkeypatch.setattr(engine.lapack, "dpotrf", lambda a, **kwargs: (a, 3))
         with pytest.raises(SolverConvergenceError, match="Cholesky"):
-            OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=10)
+            pinned_solver(backends[0].graph, (3, 40), (7,), "sparse")
 
     @pytest.mark.parametrize("n, error", [(5, "Cholesky"), (400, "pivot")])
     def test_unanchored_node_raises(self, n, error):
@@ -327,13 +343,13 @@ class TestSparseDiagonalPass:
         # left whole to the dense tail.
         g = Graph(n, [(i, i + 1) for i in range(n - 2)])
         with pytest.raises(SolverConvergenceError, match=error):
-            OpinionSolver(g, (0,), (), dense_cutoff=0)
+            pinned_solver(g, (0,), (), "sparse")
 
     @pytest.mark.parametrize("n", [3000, 10_000])
     def test_probe_tolerance_on_a_long_path(self, n):
         # Anchored at an end, a path has the exact diagonal i + 1, up to n:
         # the probe's residual must be exact enough for entries that large.
-        solver = OpinionSolver(generate_line(n), (0,), (), dense_cutoff=0)
+        solver = pinned_solver(generate_line(n), (0,), (), "sparse")
         solver.gains(())
         np.testing.assert_allclose(solver._g0, np.arange(n) + 1.0, rtol=1e-12, atol=0)
 
@@ -347,8 +363,8 @@ class TestSparseDiagonalPass:
         # the batches of the diagonal pass and the last bits of the gains.
         n = 300
         g = generate_erdos_renyi(n, 3 * math.log(n) / n, seed=5)
-        fresh = OpinionSolver(g, (1, 2), (), dense_cutoff=0)
-        used = OpinionSolver(g, (1, 2), (), dense_cutoff=0)
+        fresh = pinned_solver(g, (1, 2), (), "sparse")
+        used = pinned_solver(g, (1, 2), (), "sparse")
         for extra in [(5,), (77,), (150,)]:
             used.profile(extra)
         assert np.array_equal(used.gains(()), fresh.gains(()))
@@ -360,7 +376,7 @@ class TestLevelPass:
 
     @staticmethod
     def check(g, minus=(0,), expected=None):
-        solver = OpinionSolver(g, minus, (), dense_cutoff=0)
+        solver = pinned_solver(g, minus, (), "sparse")
         if expected is None:
             expected = np.diag(engine._dense_inverse(solver._adj, solver.base_diag))
         np.testing.assert_allclose(solver._inv.diagonal(), expected, rtol=1e-12, atol=0)
@@ -380,7 +396,7 @@ class TestLevelPass:
         # Above n = 46340 a key column * n + row no longer fits the factor's
         # int32 indices, and a wrapped key reads the wrong entry of Z.
         n = 50_000
-        solver = OpinionSolver(generate_line(n), (n // 2,), (), dense_cutoff=0)
+        solver = pinned_solver(generate_line(n), (n // 2,), (), "sparse")
         np.testing.assert_allclose(solver._inv.diagonal(), np.abs(np.arange(n) - n // 2) + 1.0,
                                    rtol=1e-12, atol=0)
 
@@ -413,27 +429,29 @@ class TestLevelPass:
     def test_unsorted_rows_give_the_same_diagonal(self):
         solver = self.check(random_connected_graph(300, 0.02, np.random.default_rng(4)))
         factor = solver._inv
-        l = factor.head.sorted_indices()
-        shuffled = l.copy()
+        blocks = [f.sorted_indices() for f in factor.blocks]
+        shuffled = [f.copy() for f in blocks]
         rng = np.random.default_rng(0)
-        for j in range(l.shape[1]):
-            lo, hi = l.indptr[j], l.indptr[j + 1]
-            order = lo + rng.permutation(hi - lo)
-            shuffled.indices[lo:hi] = l.indices[order]
-            shuffled.data[lo:hi] = l.data[order]
-        shuffled.has_sorted_indices = False
+        for f, g in zip(blocks, shuffled):
+            for j in range(f.shape[1]):
+                lo, hi = f.indptr[j], f.indptr[j + 1]
+                order = lo + rng.permutation(hi - lo)
+                g.indices[lo:hi] = f.indices[order]
+                g.data[lo:hi] = f.data[order]
+            g.has_sorted_indices = False
+        assert any(not np.array_equal(f.indices, g.indices) for f, g in zip(blocks, shuffled))
         args = factor.d, factor.bounds, factor.z_tail
         assert np.array_equal(engine._selected_diagonal(shuffled, *args),
-                              engine._selected_diagonal(l, *args))
+                              engine._selected_diagonal(blocks, *args))
 
 
-@pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
 class TestTargetIds:
     """Ids outside ``[0, n)`` or repeated are rejected, not scored."""
 
     @pytest.fixture
-    def solver(self, backends, cutoff):
-        return OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=cutoff)
+    def solver(self, backends, backend):
+        return pinned_solver(backends[0].graph, (3, 40), (7,), backend)
 
     @pytest.mark.parametrize("extra", [(-1,), (120,), (5, 5)],
                              ids=["negative", "n", "repeated"])
@@ -442,46 +460,46 @@ class TestTargetIds:
             with pytest.raises(ValueError, match="node ids"):
                 call(extra)
 
-    def test_pre_placed_targets_are_rejected(self, cutoff):
+    def test_pre_placed_targets_are_rejected(self, backend):
         # Scoring a second plus link on a pre-placed node is not a target set.
         g = random_connected_graph(30, 0.1, np.random.default_rng(1))
-        solver = OpinionSolver(g, (3,), (7,), dense_cutoff=cutoff)
+        solver = pinned_solver(g, (3,), (7,), backend)
         for call in (solver.objective, solver.profile, solver.gains):
             for extra in [(7,), (2, 7)]:
                 with pytest.raises(ValueError, match=r"targets \[7\] already hold a plus link"):
                     call(extra)
 
     @pytest.mark.parametrize("minus", [(120,), (3, 3)], ids=["n", "repeated"])
-    def test_base_rejects(self, backends, cutoff, minus):
+    def test_base_rejects(self, backends, backend, minus):
         with pytest.raises(ValueError, match="node ids"):
-            OpinionSolver(backends[0].graph, minus, (7,), dense_cutoff=cutoff)
+            pinned_solver(backends[0].graph, minus, (7,), backend)
 
 
-@pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
 class TestResidualRule:
     """With a zero tolerance every residual check fails, so each one is seen
     to run."""
 
-    def test_base_solve(self, backends, cutoff, monkeypatch):
+    def test_base_solve(self, backends, backend, monkeypatch):
         dense, _ = backends
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(SolverConvergenceError, match="base solve residual"):
-            OpinionSolver(dense.graph, (3, 40), (7,), dense_cutoff=cutoff)
+            pinned_solver(dense.graph, (3, 40), (7,), backend)
 
-    def test_equilibrium(self, backends, cutoff, monkeypatch):
+    def test_equilibrium(self, backends, backend, monkeypatch):
         dense, _ = backends
         inst = Instance(dense.graph, frozenset({3, 40}), frozenset({7}), budget=2)
-        inst.__dict__["solver"] = OpinionSolver(
-            dense.graph, (3, 40), (7,), dense_cutoff=cutoff)
+        inst.__dict__["solver"] = pinned_solver(
+            dense.graph, (3, 40), (7,), backend)
         solve_equilibrium(inst, {5, 60})
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(SolverConvergenceError, match="equilibrium residual"):
             solve_equilibrium(inst, {5, 60})
 
-    def test_objective(self, backends, cutoff, monkeypatch):
+    def test_objective(self, backends, backend, monkeypatch):
         # The objective is the mean of a checked profile, never a value the
         # residual rule has not seen.
-        solver = OpinionSolver(backends[0].graph, (3, 40), (7,), dense_cutoff=cutoff)
+        solver = pinned_solver(backends[0].graph, (3, 40), (7,), backend)
         solver.objective((4,))
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(SolverConvergenceError, match="equilibrium residual"):
@@ -494,7 +512,7 @@ class TestLargeInstances:
         # target: F({v}) = F(empty) + gains(())[v], against the path formula.
         n = 10_000
         g = random_tree(n, np.random.default_rng(10_000))
-        solver = OpinionSolver(g, (0,), (), dense_cutoff=0)
+        solver = pinned_solver(g, (0,), (), "sparse")
         scores = solver.objective(()) + solver.gains(())
         t = tree_view(g, 0)
         expected = [tree_path_objective(t, v) for v in range(n)]
@@ -539,14 +557,14 @@ class TestLargeInstances:
         assert walk.objective == pytest.approx(fresh, abs=1e-12)
 
 
-@pytest.mark.parametrize("cutoff", [2000, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
 class TestNoAttachment:
     """With no attachment, any plus target drives every opinion to +1."""
 
     @pytest.fixture
-    def solver(self, cutoff):
+    def solver(self, backend):
         g = random_connected_graph(30, 0.1, np.random.default_rng(8))
-        return OpinionSolver(g, (), (), dense_cutoff=cutoff)
+        return pinned_solver(g, (), (), backend)
 
     def test_empty_set_has_no_equilibrium(self, solver):
         with pytest.raises(ValueError, match="no strategic attachment"):

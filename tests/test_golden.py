@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from optarget import cli, engine, equilibrium, experiments, heuristics
+from optarget import cli, equilibrium, experiments, heuristics
+from conftest import pinned_solver
 
 GOLDEN = Path(__file__).parent / "golden"
 GRAPH = GOLDEN / "graph.txt"
@@ -64,7 +65,7 @@ def experiment_csv(name: str) -> str:
 @contextlib.contextmanager
 def forced_sparse():
     """Every ``Instance.solver`` built inside uses the sparse backend."""
-    sparse = functools.partial(engine.OpinionSolver, dense_cutoff=0)
+    sparse = functools.partial(pinned_solver, backend="sparse")
     with mock.patch.object(equilibrium, "OpinionSolver", sparse):
         yield
 

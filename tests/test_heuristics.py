@@ -24,9 +24,10 @@ from optarget import (
     tree_view,
 )
 from optarget import heuristics
-from optarget.engine import OpinionSolver
 from optarget.heuristics import SCORE_TIE_TOL
-from conftest import random_connected_graph, random_tree, record_solves, star_graph
+from conftest import (
+    pinned_solver, random_connected_graph, random_tree, record_solves, star_graph,
+)
 
 
 def line_instance(n=10, minus=0, budget=1):
@@ -65,6 +66,8 @@ class TestBruteForce:
         out = brute_force(inst)
         assert out.chosen_set == frozenset()
         assert out.objective == pytest.approx(-1.0, abs=1e-12)
+        assert out.visited_nodes == 0
+        assert out.equilibrium_evaluations == 1
 
     def test_configuration_cap(self):
         # 4.6 M sets of at most 6 of 40 nodes: rejected before factorizing.
@@ -98,9 +101,8 @@ class TestBruteForce:
 
 def on_backend(inst, backend):
     """``inst`` with its solver pinned to the dense or the sparse backend."""
-    inst.__dict__["solver"] = OpinionSolver(
-        inst.graph, sorted(inst.minus_set), sorted(inst.plus_base),
-        dense_cutoff={"dense": inst.graph.node_count, "sparse": 0}[backend])
+    inst.__dict__["solver"] = pinned_solver(
+        inst.graph, sorted(inst.minus_set), sorted(inst.plus_base), backend)
     return inst
 
 
