@@ -82,8 +82,11 @@ class SolverConvergenceError(RuntimeError):
 
 
 def _as_index(nodes: Sequence[int], n: int) -> np.ndarray:
-    """Sorted node ids; each must lie in ``[0, n)`` and appear once."""
-    ids = sorted(int(v) for v in nodes)
+    """Sorted node ids: integral (``2.0`` is 2), in ``[0, n)``, none repeated."""
+    nodes = list(nodes)
+    if any(int(v) != v for v in nodes):
+        raise ValueError(f"node ids must be integers: got {nodes}")
+    ids = sorted(map(int, nodes))
     if ids and not (0 <= ids[0] and ids[-1] < n):
         raise ValueError(f"node ids must lie in [0, {n}): got {ids}")
     if len(set(ids)) != len(ids):

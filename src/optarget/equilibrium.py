@@ -47,9 +47,8 @@ class Instance:
     def __post_init__(self):
         n = self.graph.node_count
         for name in ("minus_set", "plus_base"):
-            ids = frozenset(int(v) for v in getattr(self, name))
-            _as_index(ids, n)
-            object.__setattr__(self, name, ids)
+            ids = _as_index(frozenset(getattr(self, name)), n)
+            object.__setattr__(self, name, frozenset(ids.tolist()))
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
         if self.budget > n - len(self.plus_base):
@@ -91,12 +90,12 @@ def solve_equilibrium(inst: Instance, extra: Iterable[int] = ()) -> EquilibriumP
     The returned opinions satisfy the balance equations to a residual
     infinity-norm of ``1e-10 * max(1, d_max)``; a worse residual raises
     :class:`SolverConvergenceError` rather than returning a truncated answer.
-    The engine rejects target ids that are out of range, repeated or already
-    hold a plus link.
+    The engine rejects target ids that are fractional, out of range, repeated
+    or already hold a plus link.
     """
-    extra = tuple(int(v) for v in extra)
+    extra = tuple(extra)
     x, f = inst.solver._evaluate(extra)
-    return EquilibriumProfile(opinions=x, objective=f, target_set=frozenset(extra))
+    return EquilibriumProfile(opinions=x, objective=f, target_set=frozenset(map(int, extra)))
 
 
 def _augmented_laplacian(inst: Instance, targets: np.ndarray) -> sp.csc_matrix:

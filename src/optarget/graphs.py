@@ -234,15 +234,16 @@ def generate_poisson_tree(lam: float, max_nodes: int, seed: int) -> Graph:
 def load_edge_list(path) -> Graph:
     """Read a whitespace-separated ``u v`` edge list file into a Graph.
 
-    Lines beginning with ``#`` are comments. Node ids are decimal integers.
-    Duplicate pairs and reversed duplicates collapse to one undirected edge;
-    self-loops are dropped with a single warning reporting how many were
-    seen. The node count is one plus the largest id in the file, so sparse
-    id ranges are preserved as isolated nodes. The data lines are parsed in
-    one ``np.loadtxt`` call; only a file it rejects is read again line by
-    line, for the number of the first bad line.
+    Lines beginning with ``#`` are comments. Node ids are decimal integers
+    (a byte that is not UTF-8 reads as U+FFFD, so it is no id). Duplicate
+    pairs and reversed duplicates collapse to one undirected edge; self-loops
+    are dropped with a single warning reporting how many were seen. The node
+    count is one plus the largest id in the file, so sparse id ranges are
+    preserved as isolated nodes. The data lines are parsed in one
+    ``np.loadtxt`` call; only a file it rejects is read again line by line,
+    for the number of the first bad line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = fh.read().split("\n")
     rows = [i for i, line in enumerate(lines) if (s := line.strip()) and s[0] != "#"]
     if not rows:

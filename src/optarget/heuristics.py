@@ -5,13 +5,14 @@ its objective (always re-solved from scratch, never taken from the search
 bookkeeping), and two instrumentation counters: how many equilibrium
 evaluations the search spent and how many distinct candidate nodes it scored.
 
-Candidate scores that differ by less than ``SCORE_TIE_TOL`` are treated as
-tied and resolved toward the smaller node index (for ``brute_force``, the
-lexicographically smaller sorted tuple). Genuinely distinct objective
-values in the supported instance families differ by far more than solver
-round-off (rational gaps of 1e-8 and up versus noise near 1e-13), so the
-tolerance only collapses exact mathematical ties that floating point would
-otherwise order arbitrarily.
+Every scan takes candidates in ascending order (for ``brute_force``, sorted
+tuples in lexicographic order) and keeps the first one unless a later one
+beats the best so far by more than ``SCORE_TIE_TOL``; a walk moves only on
+such a gain, so among tied nodes it stays at the first one it reaches.
+Genuinely distinct objective values in the supported instance families
+differ by far more than solver round-off (rational gaps of 1e-8 and up
+versus noise near 1e-13), so the tolerance only collapses exact
+mathematical ties that floating point would otherwise order arbitrarily.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .engine import _as_index
 from .equilibrium import Instance, solve_equilibrium
 from .graphs import degrees, tree_view
 
@@ -53,10 +55,9 @@ def brute_force(inst: Instance) -> StrategyOutcome:
     Ties resolve to the lexicographically smallest sorted tuple. Raises if the
     number of configurations exceeds ``MAX_BRUTE_FORCE_CONFIGURATIONS``.
 
-    Sets are scored by size and, within a size, in the order of
-    ``combinations``: one gain sweep per set S below the budget scores every
-    extension by a larger candidate v, ``F(S + {v}) = F(S) + gains(S)[v]``,
-    the rank-one update of S's own score. The empty set scores
+    Sets are scored in lexicographic order; one gain sweep per set S below
+    the budget scores every extension by a larger v as the rank-one update
+    ``F(S + {v}) = F(S) + gains(S)[v]``. The empty set scores
     ``objective(())``; without any attachment it has no equilibrium, is not
     counted, and seeds its extensions with 0 (each then scores exactly 1).
     Every other set is one evaluation; a budget above 0 visits every candidate.
@@ -78,22 +79,25 @@ def brute_force(inst: Instance) -> StrategyOutcome:
 
 def _scored_sets(solver, pool: tuple[int, ...], k: int):
     """Yield every set of at most ``k`` candidates from ``pool`` with its
-    score, by size and in lexicographic order within each size; only the
-    sets of the current size below the budget are kept."""
+    score, in lexicographic order: depth first, one gain vector per depth."""
     f0 = 0.0
     if solver.anchored:
         f0 = solver.objective(())
         yield (), f0
-    level = [((), f0, 0)]  # (set, score, pool position of its first extension)
-    for size in range(1, k + 1):
-        below, level = level, []
-        for s, f, start in below:
-            gains = solver.gains(s)
-            for i in range(start, len(pool)):
-                scored = (s + (pool[i],), f + gains[pool[i]])
-                yield scored
-                if size < k:
-                    level.append((*scored, i + 1))
+    if k:
+        yield from _extensions(solver, pool, k, (), f0, 0)
+
+
+def _extensions(solver, pool: tuple[int, ...], k: int, s: tuple, f: float, start: int):
+    """``s`` (score ``f``) extended by ``pool[start:]`` up to size ``k``, depth
+    first. Not nested in ``_scored_sets``: a nested generator closes over
+    itself, and the cycle would hold the solver until the cyclic GC runs."""
+    gains = solver.gains(s)
+    for i in range(start, len(pool)):
+        t, g = s + (pool[i],), f + gains[pool[i]]
+        yield t, g
+        if len(t) < k:
+            yield from _extensions(solver, pool, k, t, g, i + 1)
 
 
 def degree_heuristic(inst: Instance) -> StrategyOutcome:
@@ -108,16 +112,13 @@ def degree_heuristic(inst: Instance) -> StrategyOutcome:
 
 
 def _best_candidate(scored):
-    """Pick the max-score candidate from (key, score) pairs, treating scores
-    within SCORE_TIE_TOL as tied: a tie with a smaller key takes the key but
-    keeps the score, so a later candidate must beat that score by more than
-    the tolerance."""
+    """The record of (key, score) pairs taken in order: the first pair, or a
+    later one that beats the best so far by more than SCORE_TIE_TOL; None if
+    there is none."""
     best = None
     for key, f in scored:
         if best is None or f > best[1] + SCORE_TIE_TOL:
             best = (key, f)
-        elif f >= best[1] - SCORE_TIE_TOL and key < best[0]:
-            best = (key, best[1])
     return best
 
 
@@ -189,23 +190,25 @@ def tree_descent(inst: Instance) -> StrategyOutcome:
     return _finish(inst, [current], visited + 1, visited)
 
 
-def _climb(inst: Instance, gains, root: int, taken) -> tuple[int, dict, int, int]:
+def _climb(inst: Instance, gains, root: int, taken) -> tuple[int | None, int, int]:
     """Walk from ``root`` to the best improving neighbor until none improves.
 
-    Nodes in ``taken`` are never scored; a taken root starts the walk from a
-    zero marginal gain (placing no link). Each node is scored at most once,
-    and re-encountered neighbors reuse their score. Returns the end node, the
-    score of every node scored, and the evaluation and visited counts.
+    Each step is one record walk over the current node, then its neighbors.
+    Nodes in ``taken`` are never scored; a taken root starts from a zero
+    marginal gain (placing no link). Each node is scored at most once, and
+    re-encountered neighbors reuse their score. Returns the walk's end (for a
+    walk that never left a taken root, the best node it scored, or None) and
+    the evaluation and visited counts.
     """
     csr = inst.graph.adjacency_csr()
     indptr, indices = csr.indptr, csr.indices
     scores: dict[int, float] = {}
-    evaluations = visited = 0
-    current, current_f = root, 0.0
     if root not in taken:
-        scores[root] = current_f = gains[root]
-        evaluations = 1
+        scores[root] = gains[root]
+    best = (root, scores.get(root, 0.0))
+    evaluations, visited = len(scores), 0
     while True:
+        current = best[0]
         # Python ints, in ascending order: the CSR's sorted column indices.
         neighbors = indices[indptr[current]:indptr[current + 1]].tolist()
         fresh = [v for v in neighbors if v not in scores and v not in taken]
@@ -213,14 +216,13 @@ def _climb(inst: Instance, gains, root: int, taken) -> tuple[int, dict, int, int
             scores[v] = gains[v]
         visited += len(fresh)
         evaluations += len(fresh)
-        improving = [
-            (v, scores[v])
-            for v in neighbors
-            if v in scores and scores[v] > current_f + SCORE_TIE_TOL
-        ]
-        if not improving:
-            return current, scores, evaluations, visited
-        current, current_f = _best_candidate(improving)
+        best = _best_candidate([best, *((v, scores[v]) for v in neighbors if v in scores)])
+        if best[0] == current:
+            break
+    if current in taken:
+        best = _best_candidate(sorted(scores.items()))
+        current = best[0] if best else None
+    return current, evaluations, visited
 
 
 def hill_climb(inst: Instance, root: int | None = None) -> StrategyOutcome:
@@ -240,18 +242,13 @@ def hill_climb(inst: Instance, root: int | None = None) -> StrategyOutcome:
         if not inst.minus_set:
             raise ValueError("no minus attachment to start from")
         root = min(inst.minus_set, key=lambda v: (deg[v], v))
-    root = int(root)
     if not (0 <= root < inst.graph.node_count):
         raise ValueError(f"root {root} out of range")
-    current, scores, evaluations, visited = _climb(
-        inst, inst.solver.gains(()), root, inst.plus_base)
-    if current in inst.plus_base:
-        # Never moved off a pre-targeted start; fall back to the best
-        # candidate seen, if any.
-        if not scores:
-            raise ValueError("no candidate reachable from a pre-targeted root")
-        current = _best_candidate(sorted(scores.items()))[0]
-    return _finish(inst, [current], evaluations, visited)
+    (root,) = _as_index([root], inst.graph.node_count).tolist()
+    node, evaluations, visited = _climb(inst, inst.solver.gains(()), root, inst.plus_base)
+    if node is None:
+        raise ValueError("no candidate reachable from a pre-targeted root")
+    return _finish(inst, [node], evaluations, visited)
 
 
 def hill_climb_multi(inst: Instance) -> StrategyOutcome:
@@ -259,8 +256,8 @@ def hill_climb_multi(inst: Instance) -> StrategyOutcome:
 
     Step i starts a climb from the i-th minus attachment in ascending degree
     order (cycling when the budget exceeds the attachments) and maximizes the
-    marginal gain over the committed set; the best explored candidate is
-    committed. Visited counts accumulate over steps.
+    marginal gain over the committed set; the node ``_climb`` returns, the
+    walk's end, is committed. Visited counts accumulate over steps.
     """
     if inst.budget < 1:
         raise ValueError("budget must be >= 1")
@@ -269,16 +266,15 @@ def hill_climb_multi(inst: Instance) -> StrategyOutcome:
     deg = degrees(inst.graph)
     roots = sorted(inst.minus_set, key=lambda v: (deg[v], v))
     committed: list[int] = []
-    evaluations = 0
-    visited = 0
+    evaluations = visited = 0
     for step in range(inst.budget):
-        _, scores, step_evaluations, step_visited = _climb(
+        node, step_evaluations, step_visited = _climb(
             inst, inst.solver.gains(tuple(committed)), roots[step % len(roots)],
             set(committed) | inst.plus_base)
         evaluations += step_evaluations
         visited += step_visited
-        if scores:  # otherwise nothing was explorable this step
-            committed.append(_best_candidate(sorted(scores.items()))[0])
+        if node is not None:  # otherwise nothing was explorable this step
+            committed.append(node)
     return _finish(inst, committed, evaluations, visited)
 
 

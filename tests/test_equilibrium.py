@@ -78,12 +78,12 @@ class TestSolveEquilibrium:
             solve_equilibrium(inst)
 
     def test_extra_overlapping_plus_base_rejected(self):
-        # Pre-placed, repeated and out-of-range targets all fail the engine's
-        # id rule, in the solve and in the electrical check alike.
+        # Pre-placed, repeated, out-of-range and fractional targets all fail
+        # the engine's id rule, in the solve and in the electrical check alike.
         inst = Instance(generate_line(3), frozenset({0}), frozenset({1}), budget=1)
         prof = solve_equilibrium(inst, {2})
         for extra, message in [({1}, "already hold"), ([2, 2], "must not repeat"),
-                               ([3], "must lie in")]:
+                               ([3], "must lie in"), ([2.7], "must be integers")]:
             with pytest.raises(ValueError, match=message):
                 solve_equilibrium(inst, extra)
             with pytest.raises(ValueError, match=message):
@@ -94,6 +94,19 @@ class TestSolveEquilibrium:
         for minus, plus in [({3}, set()), ({0}, {-1})]:
             with pytest.raises(ValueError, match="node ids must lie in"):
                 Instance(line, frozenset(minus), frozenset(plus), budget=0)
+
+    def test_fractional_base_ids_rejected(self):
+        # int() would truncate 2.7 to 2; an integral float is the integer id.
+        line = generate_line(6)
+        with pytest.raises(ValueError, match="must be integers"):
+            Instance(line, frozenset({2.7}))
+        with pytest.raises(ValueError, match="must be integers"):
+            Instance(line, frozenset({0}), frozenset({1.5}), budget=0)
+        inst = Instance(line, frozenset({2.0}), budget=1)
+        assert inst.minus_set == {2} and all(type(v) is int for v in inst.minus_set)
+        prof = solve_equilibrium(inst, [4.0])
+        assert prof.target_set == {4}
+        assert prof.objective == solve_equilibrium(inst, [4]).objective
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(ValueError, match="connected"):

@@ -336,6 +336,13 @@ class TestCli:
         assert self.run("solve", "--graph", "no-such-file.txt", "--minus", "0",
                         "--algorithm", "brute") == 3
 
+    def test_non_utf8_file_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n\xff 2\n")
+        assert self.run("solve", "--graph", str(path), "--minus", "0",
+                        "--algorithm", "brute") == 3
+        assert capsys.readouterr().err == f"i/o error: {path}:2: non-integer node id\n"
+
     def test_excess_budget_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "line.txt"
         write_edge_list(generate_line(5), path)

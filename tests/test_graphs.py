@@ -256,6 +256,15 @@ class TestEdgeList:
         with pytest.raises(EdgeListError, match=":2: negative node id"):
             load_edge_list(path)
 
+    def test_non_utf8_byte_is_a_bad_id(self, tmp_path):
+        # In a comment a stray byte is ignored; in a data line it is no id.
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"# caf\xe9\n0 1\n1 2\xff\n")
+        with pytest.raises(EdgeListError, match="g.txt:3: non-integer node id"):
+            load_edge_list(path)
+        path.write_bytes(b"# caf\xe9\n0 1\n")
+        assert load_edge_list(path) == Graph(2, [(0, 1)])
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# nothing\n")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from itertools import combinations
 
 import pytest
@@ -188,6 +190,43 @@ class TestBruteForceSingleTargetSweep:
         out = self.assert_matches_loop(on_backend(inst, backend))
         assert out.chosen_set == frozenset()
         assert out.objective == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("budget", [2, 3])
+def test_scored_sets_ascend_with_one_sweep_per_set_below_the_budget(monkeypatch, budget):
+    # Depth first: every set, in strictly ascending (lexicographic) order,
+    # and one gain sweep per set below the budget, right after its score.
+    solver = cycle_instance().solver
+    pool = tuple(range(9))
+    swept = []
+    sweep = solver.gains
+
+    def counted(s):
+        swept.append(s)
+        return sweep(s)
+
+    monkeypatch.setattr(solver, "gains", counted)
+    keys = [s for s, _ in heuristics._scored_sets(solver, pool, budget)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert keys == sorted(s for size in range(budget + 1) for s in combinations(pool, size))
+    assert swept == [s for s in keys if len(s) < budget]
+
+
+@pytest.mark.parametrize("solve, budget", [
+    (brute_force, 1), (brute_force, 2), (greedy, 2), (blocking, 2), (degree_heuristic, 2),
+    (tree_descent, 1), (hill_climb, 1), (hill_climb_multi, 2)])
+def test_solver_is_freed_without_the_cyclic_gc(solve, budget):
+    # A reference cycle through a search's frames would hold the solver, and
+    # its factor, until the next collection: peak memory grows with it.
+    inst = Instance(generate_line(6), frozenset({0}), budget=budget)
+    solver = weakref.ref(inst.solver)
+    gc.disable()
+    try:
+        solve(inst)
+        del inst
+        assert solver() is None
+    finally:
+        gc.enable()
 
 
 def test_single_target_sweep_backends_agree(rng):
@@ -465,6 +504,7 @@ class TestHillClimb:
                 (lambda: hill_climb(no_minus), "no minus attachment"),
                 (lambda: hill_climb(line, root=10), "root 10 out of range"),
                 (lambda: hill_climb(line, root=-1), "root -1 out of range"),
+                (lambda: hill_climb(line, root=1.5), "must be integers"),
                 (lambda: hill_climb(enclosed), "no candidate reachable from a pre-targeted root"),
                 (lambda: hill_climb_multi(zero), "budget must be >= 1"),
                 (lambda: hill_climb_multi(no_minus), "no minus attachment")]:
@@ -512,9 +552,18 @@ class TestHillClimb:
 
 class TestHillClimbMulti:
     def test_single_budget_reduces_to_hill_climb(self, rng, backend):
-        for _ in range(15):
-            inst = on_backend(random_instance(rng, max_budget=1), backend)
-            assert hill_climb_multi(inst).chosen_set == hill_climb(inst).chosen_set
+        # On the lines, mirror-image nodes tie exactly: both climbs commit the
+        # walk's end, the first tied node reached, as tree descent does.
+        ties = [on_backend(Instance(generate_line(n), frozenset({minus}), budget=1), backend)
+                for n, minus in [(4, 2), (5, 4), (6, 1), (9, 8)]]
+        for inst in [on_backend(random_instance(rng, max_budget=1), backend)
+                     for _ in range(15)] + ties:
+            single, multi = hill_climb(inst), hill_climb_multi(inst)
+            assert multi.chosen_set == single.chosen_set
+            assert multi.equilibrium_evaluations == single.equilibrium_evaluations
+            assert multi.visited_nodes == single.visited_nodes
+        for inst in ties:
+            assert hill_climb(inst).chosen_set == tree_descent(inst).chosen_set
 
     def test_objective_nondecreasing_across_steps(self, rng, backend):
         for _ in range(10):
