@@ -1,6 +1,7 @@
 """Command-line front end: graph generation, single solves, batch experiments.
 
-Exit codes: 0 success, 1 usage error, 2 solver failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error or out of memory, 2 solver failure,
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -160,6 +161,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValueError, experiments.ResampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -81,12 +81,26 @@ class SolverConvergenceError(RuntimeError):
     """The linear solver failed to reach the required residual tolerance."""
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int if it is integral (``2.0`` is 2); a fractional, NaN
+    or infinite value raises ``ValueError`` naming ``what``."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{what} must be an integer: got {value!r}")
+    return whole
+
+
 def _as_index(nodes: Sequence[int], n: int) -> np.ndarray:
-    """Sorted node ids: integral (``2.0`` is 2), in ``[0, n)``, none repeated."""
+    """Sorted node ids: integral by :func:`_as_int`, in ``[0, n)``, none
+    repeated."""
     nodes = list(nodes)
-    if any(int(v) != v for v in nodes):
-        raise ValueError(f"node ids must be integers: got {nodes}")
-    ids = sorted(map(int, nodes))
+    try:
+        ids = sorted(_as_int(v, "node id") for v in nodes)
+    except ValueError:
+        raise ValueError(f"node ids must be integers: got {nodes}") from None
     if ids and not (0 <= ids[0] and ids[-1] < n):
         raise ValueError(f"node ids must lie in [0, {n}): got {ids}")
     if len(set(ids)) != len(ids):
@@ -397,7 +411,6 @@ class OpinionSolver:
 
     def __init__(self, graph: Graph, minus: Sequence[int], plus_base: Sequence[int]):
         n = graph.node_count
-        self.graph = graph
         self.n = n
         self._adj = graph.adjacency_csr()
         plus_links = np.bincount(_as_index(plus_base, n), minlength=n)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .engine import OpinionSolver, SolverConvergenceError, _as_index
+from .engine import OpinionSolver, SolverConvergenceError, _as_index, _as_int
 from .graphs import Graph, is_connected
 
 __all__ = [
@@ -49,6 +49,7 @@ class Instance:
         for name in ("minus_set", "plus_base"):
             ids = _as_index(frozenset(getattr(self, name)), n)
             object.__setattr__(self, name, frozenset(ids.tolist()))
+        object.__setattr__(self, "budget", _as_int(self.budget, "budget"))
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
         if self.budget > n - len(self.plus_base):

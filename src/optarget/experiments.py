@@ -16,6 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .engine import _as_int
 from .equilibrium import Instance
 from .graphs import (
     Graph,
@@ -66,7 +67,7 @@ def derive_seed(master: int, *parts) -> int:
     The mix is blake2b over the canonical repr of the argument tuple, so any
     cell/trial seed can be reproduced independently of execution order.
     """
-    payload = repr((int(master),) + tuple(parts)).encode("ascii")
+    payload = repr((_as_int(master, "seed"),) + tuple(parts)).encode("ascii")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
@@ -100,6 +101,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         fam = _family(self.experiment)
+        for name in ("trials", "k_plus", "minus_count", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        object.__setattr__(self, "n", tuple(_as_int(v, "n") for v in self.n))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.minus_count < 0:
@@ -110,7 +114,6 @@ class ExperimentConfig:
         for name in fam.fixed_at_one:
             if getattr(self, name) != 1:
                 raise ValueError(f"{self.experiment} needs {name} = 1")
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
 

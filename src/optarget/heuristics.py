@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import _as_index
 from .equilibrium import Instance, solve_equilibrium
 from .graphs import degrees, tree_view
 
@@ -194,18 +193,18 @@ def _climb(inst: Instance, gains, root: int, taken) -> tuple[int | None, int, in
     """Walk from ``root`` to the best improving neighbor until none improves.
 
     Each step is one record walk over the current node, then its neighbors.
-    Nodes in ``taken`` are never scored; a taken root starts from a zero
-    marginal gain (placing no link). Each node is scored at most once, and
-    re-encountered neighbors reuse their score. Returns the walk's end (for a
-    walk that never left a taken root, the best node it scored, or None) and
-    the evaluation and visited counts.
+    Nodes in ``taken`` are never scored; a taken root scores -inf, so the
+    first step leaves it for the first neighbor scored. Each node is scored at
+    most once, and re-encountered neighbors reuse their score. Returns the
+    walk's end (None if the walk scored no node: the root and all its
+    neighbors are taken) and the evaluation and visited counts.
     """
     csr = inst.graph.adjacency_csr()
     indptr, indices = csr.indptr, csr.indices
     scores: dict[int, float] = {}
     if root not in taken:
         scores[root] = gains[root]
-    best = (root, scores.get(root, 0.0))
+    best = (root, scores.get(root, -math.inf))
     evaluations, visited = len(scores), 0
     while True:
         current = best[0]
@@ -219,48 +218,15 @@ def _climb(inst: Instance, gains, root: int, taken) -> tuple[int | None, int, in
         best = _best_candidate([best, *((v, scores[v]) for v in neighbors if v in scores)])
         if best[0] == current:
             break
-    if current in taken:
-        best = _best_candidate(sorted(scores.items()))
-        current = best[0] if best else None
-    return current, evaluations, visited
+    return (None if current in taken else current), evaluations, visited
 
 
-def hill_climb(inst: Instance, root: int | None = None) -> StrategyOutcome:
-    """Single-target search on any graph by moving to the best improving
-    neighbor until none improves.
-
-    ``root`` defaults to the minimum-degree minus attachment (ties to the
-    smaller index): on sparse graphs it is easier to walk away from a marginal
-    node than to recover from starting in the opponent's strongest region.
-    Each node is evaluated at most once; re-encountered neighbors reuse their
-    cached score. Exact on trees, heuristic otherwise.
-    """
-    if inst.budget != 1:
-        raise ValueError("hill climb solves the single-target problem only")
-    deg = degrees(inst.graph)
-    if root is None:
-        if not inst.minus_set:
-            raise ValueError("no minus attachment to start from")
-        root = min(inst.minus_set, key=lambda v: (deg[v], v))
-    if not (0 <= root < inst.graph.node_count):
-        raise ValueError(f"root {root} out of range")
-    (root,) = _as_index([root], inst.graph.node_count).tolist()
-    node, evaluations, visited = _climb(inst, inst.solver.gains(()), root, inst.plus_base)
-    if node is None:
-        raise ValueError("no candidate reachable from a pre-targeted root")
-    return _finish(inst, [node], evaluations, visited)
-
-
-def hill_climb_multi(inst: Instance) -> StrategyOutcome:
-    """Budgeted targeting via one hill climb per link.
-
-    Step i starts a climb from the i-th minus attachment in ascending degree
-    order (cycling when the budget exceeds the attachments) and maximizes the
-    marginal gain over the committed set; the node ``_climb`` returns, the
-    walk's end, is committed. Visited counts accumulate over steps.
-    """
-    if inst.budget < 1:
-        raise ValueError("budget must be >= 1")
+def _climbs(inst: Instance) -> tuple[list[int], int, int]:
+    """One ``_climb`` per link, committing each walk's end (if any) and
+    summing the counters. Step i maximizes the marginal gain over the
+    committed set from the i-th minus attachment in (degree, id) order,
+    cycling: walking away from a marginal node beats starting in the
+    opponent's strongest region."""
     if not inst.minus_set:
         raise ValueError("no minus attachment to start from")
     deg = degrees(inst.graph)
@@ -273,9 +239,28 @@ def hill_climb_multi(inst: Instance) -> StrategyOutcome:
             set(committed) | inst.plus_base)
         evaluations += step_evaluations
         visited += step_visited
-        if node is not None:  # otherwise nothing was explorable this step
+        if node is not None:
             committed.append(node)
+    return committed, evaluations, visited
+
+
+def hill_climb(inst: Instance) -> StrategyOutcome:
+    """``hill_climb_multi`` at budget 1: one walk from the minimum-degree
+    minus attachment. Exact on trees, heuristic otherwise."""
+    if inst.budget != 1:
+        raise ValueError("hill climb solves the single-target problem only")
+    committed, evaluations, visited = _climbs(inst)
+    if not committed:
+        raise ValueError("no candidate reachable from a pre-targeted root")
     return _finish(inst, committed, evaluations, visited)
+
+
+def hill_climb_multi(inst: Instance) -> StrategyOutcome:
+    """Budgeted targeting via one hill climb per link (see ``_climbs``);
+    visited counts accumulate over steps."""
+    if inst.budget < 1:
+        raise ValueError("budget must be >= 1")
+    return _finish(inst, *_climbs(inst))
 
 
 def success(f_star: float, f_hat: float) -> bool:

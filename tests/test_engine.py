@@ -28,13 +28,16 @@ from conftest import (
 
 
 @pytest.fixture(scope="module")
-def backends():
-    rng = np.random.default_rng(99)
-    g = random_connected_graph(120, 0.05, rng)
+def base_graph():
+    return random_connected_graph(120, 0.05, np.random.default_rng(99))
+
+
+@pytest.fixture(scope="module")
+def backends(base_graph):
     minus = (3, 40)
     plus = (7,)
-    dense = pinned_solver(g, minus, plus, "dense")
-    sparse = pinned_solver(g, minus, plus, "sparse")
+    dense = pinned_solver(base_graph, minus, plus, "dense")
+    sparse = pinned_solver(base_graph, minus, plus, "sparse")
     return dense, sparse
 
 
@@ -200,18 +203,18 @@ class TestDenseInverse:
         expected.ravel(order="F")[::g.node_count + 1] *= 0.5
         assert np.array_equal(engine._dense_inverse(solver._adj, solver.base_diag), expected)
 
-    def test_failed_factorization_raises(self, backends, monkeypatch):
+    def test_failed_factorization_raises(self, base_graph, monkeypatch):
         monkeypatch.setattr(engine.lapack, "dpotrf", lambda a, **kwargs: (a, 3))
         with pytest.raises(SolverConvergenceError, match="Cholesky"):
-            pinned_solver(backends[0].graph, (3, 40), (7,), "dense")
+            pinned_solver(base_graph, (3, 40), (7,), "dense")
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_failed_inverse_raises_on_construction(self, backends, monkeypatch, backend):
+    def test_failed_inverse_raises_on_construction(self, base_graph, monkeypatch, backend):
         # Both backends invert their dense part when they are built, so a
         # failed dpotri raises there, not at the first gain sweep.
         monkeypatch.setattr(engine.lapack, "dpotri", lambda c, **kwargs: (c, 2))
         with pytest.raises(SolverConvergenceError, match="Cholesky"):
-            pinned_solver(backends[0].graph, (3, 40), (7,), backend)
+            pinned_solver(base_graph, (3, 40), (7,), backend)
 
 
 class TestSparseBackendAgreesWithDense:
@@ -237,10 +240,10 @@ class TestSparseBackendAgreesWithDense:
             )
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_gain_sweeps_are_fresh_arrays(self, backends, backend):
+    def test_gain_sweeps_are_fresh_arrays(self, base_graph, backend):
         # Writing into one sweep must not change the next sweep of the same
         # committed set.
-        solver = pinned_solver(backends[0].graph, (3, 40), (7,), backend)
+        solver = pinned_solver(base_graph, (3, 40), (7,), backend)
         for committed in [(), (5,), (5, 31)]:
             first = solver.gains(committed)
             expected = first.copy()
@@ -248,8 +251,8 @@ class TestSparseBackendAgreesWithDense:
             assert np.array_equal(solver.gains(committed), expected)
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_solve_equilibrium_objective_is_the_solver_objective(self, backends, backend):
-        g = backends[0].graph
+    def test_solve_equilibrium_objective_is_the_solver_objective(self, base_graph, backend):
+        g = base_graph
         inst = Instance(g, frozenset({3, 40}), frozenset({7}), budget=3)
         inst.__dict__["solver"] = pinned_solver(g, (3, 40), (7,), backend)
         for extra in [(), (5,), (0, 11), (2, 50, 90)]:
@@ -264,9 +267,8 @@ class TestSparseBackendAgreesWithDense:
 
 class TestSparseDiagonalPass:
     @pytest.fixture
-    def sparse(self, backends):
-        dense, _ = backends
-        return pinned_solver(dense.graph, (3, 40), (7,), "sparse")
+    def sparse(self, base_graph):
+        return pinned_solver(base_graph, (3, 40), (7,), "sparse")
 
     def test_matches_dense_inverse(self, backends, sparse):
         dense, _ = backends
@@ -331,10 +333,10 @@ class TestSparseDiagonalPass:
             tracemalloc.stop()
         assert peak < t * t * 8
 
-    def test_failed_tail_factorization_raises(self, backends, monkeypatch):
+    def test_failed_tail_factorization_raises(self, base_graph, monkeypatch):
         monkeypatch.setattr(engine.lapack, "dpotrf", lambda a, **kwargs: (a, 3))
         with pytest.raises(SolverConvergenceError, match="Cholesky"):
-            pinned_solver(backends[0].graph, (3, 40), (7,), "sparse")
+            pinned_solver(base_graph, (3, 40), (7,), "sparse")
 
     @pytest.mark.parametrize("n, error", [(5, "Cholesky"), (400, "pivot")])
     def test_unanchored_node_raises(self, n, error):
@@ -450,8 +452,8 @@ class TestTargetIds:
     """Ids outside ``[0, n)`` or repeated are rejected, not scored."""
 
     @pytest.fixture
-    def solver(self, backends, backend):
-        return pinned_solver(backends[0].graph, (3, 40), (7,), backend)
+    def solver(self, base_graph, backend):
+        return pinned_solver(base_graph, (3, 40), (7,), backend)
 
     @pytest.mark.parametrize("extra", [(-1,), (120,), (5, 5)],
                              ids=["negative", "n", "repeated"])
@@ -470,9 +472,9 @@ class TestTargetIds:
                     call(extra)
 
     @pytest.mark.parametrize("minus", [(120,), (3, 3)], ids=["n", "repeated"])
-    def test_base_rejects(self, backends, backend, minus):
+    def test_base_rejects(self, base_graph, backend, minus):
         with pytest.raises(ValueError, match="node ids"):
-            pinned_solver(backends[0].graph, minus, (7,), backend)
+            pinned_solver(base_graph, minus, (7,), backend)
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
@@ -480,26 +482,24 @@ class TestResidualRule:
     """With a zero tolerance every residual check fails, so each one is seen
     to run."""
 
-    def test_base_solve(self, backends, backend, monkeypatch):
-        dense, _ = backends
+    def test_base_solve(self, base_graph, backend, monkeypatch):
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(SolverConvergenceError, match="base solve residual"):
-            pinned_solver(dense.graph, (3, 40), (7,), backend)
+            pinned_solver(base_graph, (3, 40), (7,), backend)
 
-    def test_equilibrium(self, backends, backend, monkeypatch):
-        dense, _ = backends
-        inst = Instance(dense.graph, frozenset({3, 40}), frozenset({7}), budget=2)
+    def test_equilibrium(self, base_graph, backend, monkeypatch):
+        inst = Instance(base_graph, frozenset({3, 40}), frozenset({7}), budget=2)
         inst.__dict__["solver"] = pinned_solver(
-            dense.graph, (3, 40), (7,), backend)
+            base_graph, (3, 40), (7,), backend)
         solve_equilibrium(inst, {5, 60})
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(SolverConvergenceError, match="equilibrium residual"):
             solve_equilibrium(inst, {5, 60})
 
-    def test_objective(self, backends, backend, monkeypatch):
+    def test_objective(self, base_graph, backend, monkeypatch):
         # The objective is the mean of a checked profile, never a value the
         # residual rule has not seen.
-        solver = pinned_solver(backends[0].graph, (3, 40), (7,), backend)
+        solver = pinned_solver(base_graph, (3, 40), (7,), backend)
         solver.objective((4,))
         monkeypatch.setattr(engine, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(SolverConvergenceError, match="equilibrium residual"):

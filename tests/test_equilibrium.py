@@ -7,10 +7,15 @@ from optarget import (
     EquilibriumProfile,
     Graph,
     Instance,
+    blocking,
+    brute_force,
+    degree_heuristic,
     generate_complete,
     generate_erdos_renyi,
     generate_line,
     generate_poisson_tree,
+    greedy,
+    hill_climb_multi,
     solve_equilibrium,
     verify_electrical,
 )
@@ -94,6 +99,22 @@ class TestSolveEquilibrium:
         for minus, plus in [({3}, set()), ({0}, {-1})]:
             with pytest.raises(ValueError, match="node ids must lie in"):
                 Instance(line, frozenset(minus), frozenset(plus), budget=0)
+
+    def test_budget_follows_the_integer_rule(self):
+        # An integral budget is the int, so every solver can range over it; a
+        # fractional, NaN or infinite one is rejected, as an infinite id is.
+        g = generate_line(6)
+        inst = Instance(g, frozenset({0}), budget=2.0)
+        assert type(inst.budget) is int and inst.budget == 2
+        for solver in (greedy, brute_force, degree_heuristic, blocking, hill_climb_multi):
+            assert len(solver(inst).chosen_set) == 2
+        for budget in (1.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="budget must be an integer"):
+                Instance(g, frozenset({0}), budget=budget)
+        with pytest.raises(ValueError, match="node ids must be integers"):
+            Instance(g, frozenset({float("inf")}))
+        with pytest.raises(ValueError, match="node ids must be integers"):
+            Instance(g, frozenset({0}), frozenset({float("nan")}), budget=0)
 
     def test_fractional_base_ids_rejected(self):
         # int() would truncate 2.7 to 2; an integral float is the integer id.

@@ -1,9 +1,11 @@
+import inspect
 import math
 import re
 import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import optarget.cli as cli
@@ -38,6 +40,11 @@ class TestSeeds:
         # Frozen value: the mixing function is part of the reproducibility
         # contract, so any change to it must be deliberate and visible.
         assert derive_seed(1, "er-blocking", 400, 0, 0) == 14801023103936366833
+
+    def test_derive_seed_takes_integral_seeds_only(self):
+        assert derive_seed(7.0, "x", 1) == derive_seed(7, "x", 1)
+        with pytest.raises(ValueError, match="seed must be an integer: got 7.5"):
+            derive_seed(7.5, "x", 1)
 
     def test_derive_seed_sensitivity(self):
         base = derive_seed(7, "x", 1)
@@ -109,6 +116,23 @@ class TestConfig:
         # The CLI cases of this rule are in TestCli; ``graph`` has no flag.
         with pytest.raises(ValueError, match="treelike-otp does not use graph"):
             default_config("treelike-otp", graph=generate_line(5))
+
+    def test_integral_fields_become_ints(self):
+        cfg = default_config("er-blocking", n=(30.0,), a=(3.0,), trials=2.0,
+                             k_plus=np.int64(2), minus_count=1.0, seed=3.0)
+        fields = (*cfg.n, cfg.trials, cfg.k_plus, cfg.minus_count, cfg.seed)
+        assert fields == (30, 2, 2, 1, 3) and all(type(v) is int for v in fields)
+        as_ints = default_config("er-blocking", n=(30,), a=(3.0,), trials=2, k_plus=2,
+                                 minus_count=1, seed=3)
+        assert strip_wall_time(rows_to_csv(run_experiment(cfg))) == strip_wall_time(
+            rows_to_csv(run_experiment(as_ints)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", (30.7,)), ("trials", 1.5), ("k_plus", float("nan")),
+        ("minus_count", float("inf")), ("seed", 1.9)])
+    def test_fractional_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            default_config("er-blocking", **{field: value})
 
     def test_negative_minus_count_rejected(self):
         with pytest.raises(ValueError, match="minus_count must be >= 0"):
@@ -194,6 +218,13 @@ class TestRunners:
         ran = {experiments.SOLVERS[r.algorithm] for r in rows}
         assert len(rows) == 2 * len(ran)  # one row per solver and trial
         assert calls == {solver: 2 for solver in ran}
+
+    @pytest.mark.parametrize("label", sorted(experiments.SOLVERS))
+    def test_every_solver_takes_only_the_instance(self, label):
+        # The CLI and the runner call each solver as solver(inst): a knob on
+        # that surface could be set by no caller but a test.
+        solver = getattr(experiments, experiments.SOLVERS[label])
+        assert list(inspect.signature(solver).parameters) == ["inst"]
 
     def test_treelike_otp_rows(self):
         cfg = default_config("treelike-otp", n=(40,), trials=2, k_plus=2,
@@ -377,6 +408,23 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             self.run("experiment", "--experiment", "bogus")
         assert err.value.code == 1
+
+    def test_out_of_memory_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # Raised, never allocated: a real allocation of that size could take
+        # the machine down.
+        def oom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        path = tmp_path / "line.txt"
+        write_edge_list(generate_line(5), path)
+        monkeypatch.setattr(cli, "load_edge_list", oom)
+        monkeypatch.setattr(cli, "generate_line", oom)
+        for argv in [("solve", "--graph", str(path), "--minus", "0", "--algorithm", "climb"),
+                     ("generate", "--kind", "line", "--n", "10000000000",
+                      "--out", str(tmp_path / "big.txt"))]:
+            assert self.run(*argv) == 1
+            assert capsys.readouterr().err == (
+                "error: out of memory: Unable to allocate 74.5 GiB\n")
 
     def test_solver_failure_is_exit_code_2(self, tmp_path, monkeypatch, capsys):
         from optarget.engine import SolverConvergenceError

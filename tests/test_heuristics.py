@@ -473,9 +473,9 @@ class TestHillClimb:
         g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)])
         inst = on_backend(Instance(g, frozenset({0, 3}), budget=1), backend)
         by_default = hill_climb(inst)
-        from_leaf = hill_climb(inst, root=3)
-        assert by_default.chosen_set == from_leaf.chosen_set
-        assert by_default.visited_nodes == from_leaf.visited_nodes
+        node, _, visited = heuristics._climb(inst, inst.solver.gains(()), 3, inst.plus_base)
+        assert by_default.chosen_set == {node}
+        assert by_default.visited_nodes == visited
 
     def test_single_minus_starts_there(self, backend):
         out = hill_climb(on_backend(line_instance(), backend))
@@ -492,7 +492,6 @@ class TestHillClimb:
     def test_budget_must_be_one(self, backend):
         with pytest.raises(ValueError):
             hill_climb(on_backend(line_instance(budget=2), backend))
-        line = on_backend(line_instance(), backend)
         zero = on_backend(line_instance(budget=0), backend)
         no_minus = on_backend(Instance(generate_line(5), frozenset(), frozenset({1})), backend)
         # The root and its only neighbour already hold plus links, so the
@@ -502,19 +501,16 @@ class TestHillClimb:
         for call, message in [
                 (lambda: hill_climb(zero), "single-target problem only"),
                 (lambda: hill_climb(no_minus), "no minus attachment"),
-                (lambda: hill_climb(line, root=10), "root 10 out of range"),
-                (lambda: hill_climb(line, root=-1), "root -1 out of range"),
-                (lambda: hill_climb(line, root=1.5), "must be integers"),
                 (lambda: hill_climb(enclosed), "no candidate reachable from a pre-targeted root"),
                 (lambda: hill_climb_multi(zero), "budget must be >= 1"),
                 (lambda: hill_climb_multi(no_minus), "no minus attachment")]:
             with pytest.raises(ValueError, match=message):
                 call()
 
-    def test_pre_targeted_root_falls_back_to_a_scored_neighbour(self, backend, monkeypatch):
+    def test_pre_targeted_root_is_left_for_its_first_neighbour(self, backend, monkeypatch):
         # Node 2 gains more than node 1, but with every gain inside the tie
-        # tolerance the walk never leaves the pre-targeted root, and the
-        # fallback takes the smallest neighbour it scored.
+        # tolerance the first step leaves the pre-targeted root for its first
+        # neighbour, node 1, whose only neighbour is the root: the walk ends.
         g = Graph(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
         inst = on_backend(Instance(g, frozenset({0}), frozenset({0})), backend)
         gains = inst.solver.gains(())
@@ -523,6 +519,22 @@ class TestHillClimb:
         out = hill_climb(inst)
         assert out.chosen_set == {1}
         assert out.visited_nodes == 2
+
+    def test_walk_goes_on_past_the_neighbour_of_a_pre_targeted_root(self, backend,
+                                                                     monkeypatch):
+        # Node 1 gains less than the tie tolerance, yet the walk leaves the
+        # pre-targeted root 0 for it and climbs on to node 6; node 7 gains
+        # more than node 6, but not by more than the tolerance.
+        g = Graph(10, [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (6, 7), (7, 8),
+                       (8, 9)])
+        inst = on_backend(Instance(g, frozenset({0, 9}), frozenset({0, 2, 3, 4, 5})),
+                          backend)
+        gains = inst.solver.gains(())
+        assert [round(gains[v], 4) for v in (1, 6, 7)] == [0.0513, 0.1203, 0.1811]
+        monkeypatch.setattr(heuristics, "SCORE_TIE_TOL", 0.065)
+        out = hill_climb(inst)
+        assert out.chosen_set == {6}
+        assert out.visited_nodes == 3
 
     def test_not_worse_than_max_degree_rooting(self, rng, backend):
         # Paired comparison on sparse graphs: rooting at the opponent's most
@@ -545,8 +557,11 @@ class TestHillClimb:
             deg = degrees(inst.graph)
             lo = min(minus, key=lambda v: (deg[v], v))
             hi = max(minus, key=lambda v: (deg[v], -v))
-            min_wins += success(f_star, hill_climb(inst, root=lo).objective)
-            max_wins += success(f_star, hill_climb(inst, root=hi).objective)
+            gains = inst.solver.gains(())
+            lo_end, hi_end = (heuristics._climb(inst, gains, root, inst.plus_base)[0]
+                              for root in (lo, hi))
+            min_wins += success(f_star, solve_equilibrium(inst, {lo_end}).objective)
+            max_wins += success(f_star, solve_equilibrium(inst, {hi_end}).objective)
         assert min_wins >= max_wins - 2
 
 
