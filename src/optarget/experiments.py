@@ -114,8 +114,11 @@ class ExperimentConfig:
         for name in fam.fixed_at_one:
             if getattr(self, name) != 1:
                 raise ValueError(f"{self.experiment} needs {name} = 1")
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
+        for name in ("a", "lam"):
+            values = tuple(float(v) for v in getattr(self, name))
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {values}")
+            object.__setattr__(self, name, values)
 
 
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
@@ -198,7 +201,9 @@ def sample_sized_tree(lam: float, n: int, master: int, *parts) -> Graph:
 
 def er_edge_probability(n: int, a: float) -> float:
     """Edge probability ``min(1, a ln(n) / n)`` of the ER families and of
-    ``optarget generate --kind er``."""
+    ``optarget generate --kind er``; ``a`` must be finite."""
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     return min(1.0, a * math.log(n) / n) if n > 1 else 0.0
 
 

@@ -8,7 +8,6 @@ Instances are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from typing import Iterable
 
 import numpy as np
@@ -165,10 +164,18 @@ class TreeView:
         raise AttributeError("TreeView is immutable")
 
 
+# Uniforms per block of an ER draw (2 MB of float64). A graph of up to 724
+# nodes draws its pairs in one block.
+_ER_BLOCK = 1 << 18
+
+
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Sample a G(n, p) graph: each unordered pair is an edge with probability p.
 
-    Deterministic for a fixed ``(n, p, seed)`` triple.
+    Deterministic for a fixed ``(n, p, seed)`` triple. The n(n - 1)/2 uniforms
+    are drawn in blocks of ``_ER_BLOCK``; PCG64 gives the same stream, and so
+    the same edges, as one draw of them all. Time is O(n²), memory
+    O(block + m).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -177,7 +184,10 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     # The kept pairs, as flat indices into the row-major upper triangle: row i
     # holds (i, i + 1), ..., (i, n - 1) and starts at i (2n - i - 1) / 2.
-    kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    total = n * (n - 1) // 2
+    kept = np.concatenate([np.empty(0, np.int64)] + [
+        start + np.flatnonzero(rng.random(min(_ER_BLOCK, total - start)) < p)
+        for start in range(0, total, _ER_BLOCK)])
     i = np.arange(n)
     row_start = i * (2 * n - i - 1) // 2
     i = np.searchsorted(row_start, kept, side="right") - 1
@@ -204,31 +214,37 @@ def generate_poisson_tree(lam: float, max_nodes: int, seed: int) -> Graph:
     Nodes are created in breadth-first order starting from a single root, so
     every parent id is smaller than its children's ids. Growth halts
     mid-generation once ``max_nodes`` nodes exist; a process that dies out
-    first returns a smaller tree.
+    first returns a smaller tree. Node u's offspring count is the u-th value
+    of one Poisson stream, drawn in batches; time and memory are
+    O(max_nodes).
 
     Args:
-        lam: Mean offspring count, > 0.
+        lam: Mean offspring count, finite and > 0.
         max_nodes: Hard cap on the number of nodes.
         seed: RNG seed; the result is deterministic for a fixed seed.
     """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    if not (0 < lam < np.inf):
+        raise ValueError(f"lam must be > 0 and finite, got {lam}")
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    count = 1
-    queue = deque([0])
-    while queue and count < max_nodes:
-        u = queue.popleft()
-        for _ in range(int(rng.poisson(lam))):
-            if count >= max_nodes:
-                break
-            v = count
-            count += 1
-            edges.append((u, v))
-            queue.append(v)
-    return Graph(count, edges)
+    # Nodes leave the queue in id order, so node u's offspring count is the
+    # u-th draw; a count past the cap is cut to it, which changes no tree.
+    # Before u is popped, before[u] = 1 + counts[:u].sum() nodes exist; the
+    # first u with an empty queue (u >= before[u]) or a full tree is never
+    # popped. The drawn total doubles from 64 until that u is known.
+    counts = np.empty(0, np.int64)
+    while True:
+        draws = rng.poisson(lam, max(64, len(counts)))
+        counts = np.concatenate((counts, np.minimum(draws, max_nodes)))
+        before = np.concatenate(([1], 1 + np.cumsum(counts)))
+        stop = (np.arange(len(before)) >= before) | (before >= max_nodes)
+        if stop.any():
+            break
+    popped = int(stop.argmax())
+    count = min(max_nodes, int(before[popped]))
+    parents = np.repeat(np.arange(popped), counts[:popped])[:count - 1]
+    return Graph(count, np.column_stack((parents, np.arange(1, count))))
 
 
 def load_edge_list(path) -> Graph:

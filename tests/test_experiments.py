@@ -134,6 +134,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             default_config("er-blocking", **{field: value})
 
+    @pytest.mark.parametrize("experiment, field, value", [
+        ("er-blocking", "a", math.nan), ("er-blocking", "a", math.inf),
+        ("random-trees", "lam", math.nan), ("random-trees", "lam", -math.inf)])
+    def test_non_finite_grid_rejected(self, experiment, field, value):
+        # min(1, nan) is 1: a NaN a used to run on the complete graph.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            default_config(experiment, **{field: (3.0, value)})
+
     def test_negative_minus_count_rejected(self):
         with pytest.raises(ValueError, match="minus_count must be >= 0"):
             default_config("er-blocking", minus_count=-1)
@@ -161,6 +169,24 @@ class TestErEdgeProbability:
         rows = run_experiment(default_config("er-blocking", n=(20,), a=(10.0,), trials=1))
         assert [r.algorithm for r in rows] == ["degree", "greedy", "blocking"]
         assert drawn[0] == generate_complete(20)
+
+    @pytest.mark.parametrize("n", [1, 30])
+    def test_non_finite_a_rejected(self, n):
+        for a in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="a must be finite"):
+                experiments.er_edge_probability(n, a)
+
+    @pytest.mark.parametrize("kind, flag, value, message", [
+        ("er", "--a", "nan", "a must be finite, got nan"),
+        ("er", "--a", "inf", "a must be finite, got inf"),
+        ("tree", "--lambda", "nan", "lam must be > 0 and finite, got nan")])
+    def test_cli_generate_rejects_non_finite(self, tmp_path, capsys, kind, flag, value,
+                                             message):
+        path = tmp_path / "g.txt"
+        assert cli.main(["generate", "--kind", kind, "--n", "30", flag, value,
+                         "--out", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
 
     def test_cli_generate_uses_the_same_rule(self, tmp_path):
         path = tmp_path / "er.txt"

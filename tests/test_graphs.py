@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import deque
 
 import networkx as nx
 import numpy as np
@@ -24,8 +26,29 @@ from optarget import (
     tree_view,
     write_edge_list,
 )
+import optarget.experiments as experiments
 import optarget.graphs as graphs
 from conftest import random_tree, star_graph
+
+
+def reference_poisson_tree(lam: float, max_nodes: int, seed: int) -> Graph:
+    """The one-node-at-a-time loop ``generate_poisson_tree`` replaced: pop
+    nodes in id order and give each ``rng.poisson(lam)`` children until the
+    queue empties or ``max_nodes`` nodes exist."""
+    rng = np.random.default_rng(seed)
+    edges: list[tuple[int, int]] = []
+    count = 1
+    queue = deque([0])
+    while queue and count < max_nodes:
+        u = queue.popleft()
+        for _ in range(int(rng.poisson(lam))):
+            if count >= max_nodes:
+                break
+            v = count
+            count += 1
+            edges.append((u, v))
+            queue.append(v)
+    return Graph(count, edges)
 
 
 class TestGraphConstruction:
@@ -92,6 +115,10 @@ class TestErdosRenyi:
                               (lambda: generate_complete(0), "n must be >= 1"),
                               (lambda: generate_line(0), "n must be >= 1"),
                               (lambda: generate_poisson_tree(0.0, 10, seed=1), "lam must be > 0"),
+                              (lambda: generate_poisson_tree(math.nan, 10, seed=1),
+                               "lam must be > 0"),
+                              (lambda: generate_poisson_tree(math.inf, 10, seed=1),
+                               "lam must be > 0"),
                               (lambda: generate_poisson_tree(3.0, 0, seed=1),
                                "max_nodes must be >= 1")]:
             with pytest.raises(ValueError, match=message):
@@ -107,11 +134,19 @@ class TestErdosRenyi:
         b = generate_erdos_renyi(40, 0.2, seed=2)
         assert a.edges != b.edges
 
-    @pytest.mark.parametrize("n", [1, 2, 400])
+    # Every block size on every n whose draw takes at most 20,000 blocks: a
+    # draw of 499,500 blocks of one uniform takes seconds.
+    @pytest.mark.parametrize("n, block", [
+        pytest.param(n, block, id=f"{n}" if block is None else f"{n}-block{block}")
+        for n in (1, 2, 60, 400, 1000) for block in (1, 7, 4096, None)
+        if n * (n - 1) // 2 <= 20_000 * (block or graphs._ER_BLOCK)])
     @pytest.mark.parametrize("p", [0.0, 1.0, 0.05])
-    def test_edges_match_the_triu_reference(self, monkeypatch, n, p):
+    def test_edges_match_the_triu_reference(self, monkeypatch, n, p, block):
         # The kept flat indices are decoded into the same (i, j) pairs, in
-        # the same order, as masking np.triu_indices with the same draw.
+        # the same order, as masking np.triu_indices with one draw of the
+        # whole stream, at any block size. n = 1000 spans two default blocks.
+        if block is not None:
+            monkeypatch.setattr(graphs, "_ER_BLOCK", block)
         drawn = []
         monkeypatch.setattr(graphs, "Graph", lambda n, edges: drawn.append(edges))
         for seed in range(4):
@@ -173,6 +208,39 @@ class TestPoissonTree:
         b = generate_poisson_tree(3.0, 200, seed=5)
         assert a.edges == b.edges
 
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0, 9.0])
+    @pytest.mark.parametrize("max_nodes", [1, 2, 3, 50, 400])
+    def test_trees_match_the_loop_reference(self, lam, max_nodes):
+        for seed in range(100):
+            assert (generate_poisson_tree(lam, max_nodes, seed)
+                    == reference_poisson_tree(lam, max_nodes, seed))
+
+    def test_huge_rate_fills_the_cap_from_the_root(self):
+        # The root's one draw exceeds the cap: every node is its child.
+        for lam in (1e15, 1e18):
+            assert generate_poisson_tree(lam, 6, seed=2) == star_graph(5)
+
+    @pytest.mark.parametrize("lam, n", [(3.0, 200), (3.0, 400), (9.0, 200), (9.0, 400)])
+    def test_sized_tree_resamples_as_the_loop_did(self, monkeypatch, lam, n):
+        # The random-trees cells of the benchmark, at its first master seeds:
+        # sample_sized_tree tries the same seeds and accepts the first one
+        # whose loop-grown tree reaches n nodes.
+        tried = []
+
+        def counted(lam, max_nodes, seed):
+            tried.append(seed)
+            return generate_poisson_tree(lam, max_nodes, seed)
+
+        monkeypatch.setattr(experiments, "generate_poisson_tree", counted)
+        for master in range(16):
+            tried.clear()
+            parts = ("random-trees", lam, n, 0)
+            g = experiments.sample_sized_tree(lam, n, master, *parts)
+            derived = [experiments.derive_seed(master, *parts, a) for a in range(len(tried))]
+            sizes = [reference_poisson_tree(lam, n, seed).node_count for seed in derived]
+            assert tried == derived and sizes.index(n) == len(tried) - 1
+            assert g == reference_poisson_tree(lam, n, tried[-1])
+
     def test_mean_offspring_of_internal_nodes(self):
         # Internal (non-leaf) nodes of a Poisson(3) process should average
         # about three children; truncation pulls slightly against the
@@ -189,6 +257,35 @@ class TestPoissonTree:
             total_internal += int(internal.sum())
         mean = total_children / total_internal
         assert abs(mean - 3.0) <= 0.2
+
+
+class TestMemoryBudget:
+    """Peak traced bytes of the generators and the loader stay within
+    ``128 (n + m)``, plus one block of uniforms for G(n, p)."""
+
+    @staticmethod
+    def peak_bytes(make):
+        tracemalloc.start()
+        try:
+            g = make()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return g, peak
+
+    def test_erdos_renyi_draws_in_blocks(self):
+        g, peak = self.peak_bytes(lambda: generate_erdos_renyi(5000, 0.002, seed=3))
+        assert peak <= 8 * graphs._ER_BLOCK + 128 * (g.node_count + g.edge_count)
+
+    def test_tree_line_and_load_are_linear(self, tmp_path):
+        path = tmp_path / "line.txt"
+        write_edge_list(generate_line(10**5), path)
+        for make in (lambda: generate_poisson_tree(3.0, 10**5, seed=3),
+                     lambda: generate_line(10**5),
+                     lambda: load_edge_list(path)):
+            g, peak = self.peak_bytes(make)
+            assert g.node_count == 10**5
+            assert peak <= 128 * (g.node_count + g.edge_count)
 
 
 class TestEdgeList:
